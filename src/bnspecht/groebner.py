@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb
+from operator import add, ge, sub
 
 from .errors import AmbientMismatchError, ResourceLimitExceeded, SizeMismatchError
-from .partitions import Bipartition, bidominates, bipartition_coverings_below
-from .polynomials import Monomial, SparsePolynomial, order_key, vandermonde_squares
-from .tableaux import specht_generators
+from .partitions import (
+    Bipartition,
+    bidominates,
+    bipartition_coverings_below,
+    enumerate_bipartitions,
+)
+from .polynomials import (
+    Exponents,
+    Monomial,
+    SparsePolynomial,
+    _descending_key,
+    order_key,
+    vandermonde_squares,
+)
+from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
 
 
 @dataclass(frozen=True)
@@ -60,30 +73,54 @@ def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
     """Normal form of p modulo the basis."""
     if p.n != gb.n:
         raise AmbientMismatchError(f"polynomial in {p.n} variables, basis in {gb.n}")
-    return _normal_form(p, list(gb.generators), gb.order)
+    basis = [g for g in gb.generators if not g.is_zero]
+    return _normal_form(p, basis, _leads(basis, gb.order), gb.order)
 
 
-def _normal_form(p: SparsePolynomial, basis, order: str) -> SparsePolynomial:
-    key = order_key(order)
-    leads = [(g.leading_exponents(order), g) for g in basis if not g.is_zero]
-    remainder_terms: dict = {}
+def _leads(polys, order: str) -> list[Exponents]:
+    return [g.leading_exponents(order) for g in polys]
+
+
+def _divides(a: Exponents, b: Exponents) -> bool:
+    return all(map(ge, b, a))
+
+
+def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynomial:
+    """Remainder of p on division by basis, whose leading exponents are leads.
+
+    The largest live term is popped from a heap; a term cancelled while still
+    queued is skipped when it surfaces. Reduction only adds terms below the
+    popped one, so each term is settled once.
+    """
+    heap_key = _descending_key(order)
+    divisors = list(zip(leads, basis))
     work = dict(p.terms)
-    while work:
-        exps = max(work, key=key)
-        coeff = work.pop(exps)
-        for lead, g in leads:
-            if all(a >= b for a, b in zip(exps, lead)):
-                quot = tuple(a - b for a, b in zip(exps, lead))
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    remainder_terms: dict = {}
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for lead, g in divisors:
+            if all(map(ge, exps, lead)):
+                quot = tuple(map(sub, exps, lead))
                 factor = coeff / g.terms[lead]
-                for ge, gc in g.terms.items():
-                    if ge == lead:
+                for e, c in g.terms.items():
+                    if e == lead:
                         continue
-                    target = tuple(a + b for a, b in zip(quot, ge))
-                    acc = work.get(target, 0) - factor * gc
-                    if acc:
-                        work[target] = acc
+                    target = tuple(map(add, quot, e))
+                    acc = work.get(target)
+                    if acc is None:
+                        work[target] = -factor * c
+                        heappush(heap, (heap_key(target), target))
                     else:
-                        work.pop(target, None)
+                        acc -= factor * c
+                        if acc:
+                            work[target] = acc
+                        else:
+                            del work[target]
                 break
         else:
             remainder_terms[exps] = coeff
@@ -91,13 +128,78 @@ def _normal_form(p: SparsePolynomial, basis, order: str) -> SparsePolynomial:
 
 
 def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> SparsePolynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g, built term by term; the leading terms cancel."""
     lf, lg = f.leading_exponents(order), g.leading_exponents(order)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    tf = SparsePolynomial(f.n, {mf: 1 / f.terms[lf]})
-    tg = SparsePolynomial(g.n, {mg: 1 / g.terms[lg]})
-    return tf * f - tg * g
+    lcm = tuple(map(max, lf, lg))
+    terms: dict = {}
+    for h, lead, sign in ((f, lf, 1), (g, lg, -1)):
+        shift = tuple(map(sub, lcm, lead))
+        factor = sign / h.terms[lead]
+        for e, c in h.terms.items():
+            if e != lead:
+                target = tuple(map(add, shift, e))
+                acc = terms.get(target, 0) + factor * c
+                if acc:
+                    terms[target] = acc
+                else:
+                    del terms[target]
+    return SparsePolynomial(f.n, terms)
+
+
+def _s_pair_remainders(basis: list, order: str, limits: ResourceLimits):
+    """Yield the nonzero remainders of the S-pairs of basis, smallest lcm first.
+
+    Pairs are queued by (degree of the lcm, order key of the lcm, (i, j)), the
+    normal strategy with degree as the sugar tie-break. A caller that appends
+    to basis before resuming has the new elements' pairs queued too, and the
+    remainders that follow are taken modulo the grown basis.
+
+    Two criteria skip pairs whose S-polynomial is known to reduce to zero:
+    coprime leading monomials (Buchberger's first criterion), and the chain
+    criterion: some other element k has a lead dividing lcm(i, j), and the
+    pairs (i, k) and (j, k) are no longer pending (Gebauer and Moeller,
+    J. Symbolic Comput. 6, 1988). When the generator is exhausted, basis is
+    a Groebner basis.
+    """
+    key = order_key(order)
+    leads: list[Exponents] = []
+    queue: list = []
+    pending: set[tuple[int, int]] = set()
+
+    def admit_new_elements():
+        for j in range(len(leads), len(basis)):
+            lj = basis[j].leading_exponents(order)
+            for i, li in enumerate(leads):
+                lcm = tuple(map(max, li, lj))
+                heappush(queue, (sum(lcm), key(lcm), (i, j), lcm))
+                pending.add((i, j))
+            leads.append(lj)
+
+    def chain_criterion(i: int, j: int, lcm: Exponents) -> bool:
+        for k, lk in enumerate(leads):
+            if (
+                k != i
+                and k != j
+                and _divides(lk, lcm)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                return True
+        return False
+
+    admit_new_elements()
+    while queue:
+        *_, (i, j), lcm = heappop(queue)
+        pending.discard((i, j))
+        if all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j])):
+            continue  # coprime leading monomials: S-polynomial reduces to 0
+        if chain_criterion(i, j, lcm):
+            continue
+        s = _normal_form(_s_polynomial(basis[i], basis[j], order), basis, leads, order)
+        limits.check_terms(len(s.terms))
+        if not s.is_zero:
+            yield s
+            admit_new_elements()
 
 
 def buchberger(
@@ -110,63 +212,43 @@ def buchberger(
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise AmbientMismatchError("generators live in different rings")
-    key = order_key(order)
 
-    basis = []
+    basis: list[SparsePolynomial] = []
+    leads: list[Exponents] = []
     for g in gens:
-        g = _normal_form(g, basis, order)
+        g = _normal_form(g, basis, leads, order)
         if not g.is_zero:
             basis.append(g.monic(order))
+            leads.append(basis[-1].leading_exponents(order))
 
-    def lcm_exps(f, g):
-        return tuple(max(a, b) for a, b in zip(f.leading_exponents(order), g.leading_exponents(order)))
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # normal strategy: smallest lcm first, degree as the sugar tie-break
-        i, j = min(pairs, key=lambda p: (sum(lcm_exps(basis[p[0]], basis[p[1]])), key(lcm_exps(basis[p[0]], basis[p[1]])), p))
-        pairs.discard((i, j))
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_exponents(order), g.leading_exponents(order)
-        if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        s = _normal_form(_s_polynomial(f, g, order), basis, order)
-        if s.is_zero:
-            continue
-        limits.check_terms(len(s.terms))
+    for s in _s_pair_remainders(basis, order, limits):
         basis.append(s.monic(order))
         limits.check_basis(len(basis))
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
 
-    return GroebnerBasis(tuple(_reduce_basis(basis, order, n)), order, n)
+    return GroebnerBasis(tuple(_reduce_basis(basis, order)), order, n)
 
 
-def _reduce_basis(basis, order: str, n: int) -> list[SparsePolynomial]:
+def _reduce_basis(basis, order: str) -> list[SparsePolynomial]:
     key = order_key(order)
     # minimal: drop generators whose lead is divisible by another's
     basis = sorted(basis, key=lambda g: key(g.leading_exponents(order)))
     minimal = []
     for g in basis:
         lead = g.leading_exponents(order)
-        if any(
-            all(a >= b for a, b in zip(lead, h.leading_exponents(order))) for h in minimal
-        ):
+        if any(_divides(h.leading_exponents(order), lead) for h in minimal):
             continue
         minimal.append(g)
     # reduced: take each generator's normal form against the others
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = _normal_form(g, others, order)
+        nf = _normal_form(g, others, _leads(others, order), order)
         if not nf.is_zero:
             reduced.append(nf.monic(order))
     return sorted(reduced, key=lambda g: key(g.leading_exponents(order)), reverse=True)
 
 
-def ideal_contains(
-    gb: GroebnerBasis, polys, limits: ResourceLimits = DEFAULT_LIMITS
-) -> bool:
+def ideal_contains(gb: GroebnerBasis, polys) -> bool:
     return all(reduce(p, gb).is_zero for p in polys)
 
 
@@ -191,11 +273,13 @@ def specht_ideal_contains(
 
     Decided purely by Groebner reduction; the combinatorial order is never
     consulted, so agreement with bidominance is an independent cross-check.
+    The ideal of a is stable under B_n and the generators of b form the orbit
+    of b's reference polynomial, so reducing that one polynomial decides it.
     """
     if a.size != n or b.size != n:
         raise SizeMismatchError(f"shapes must have size {n}")
     gb = specht_ideal_basis(a, n, order, limits)
-    return ideal_contains(gb, specht_generators(b, n), limits)
+    return reduce(specht_polynomial_bn(reference_bitableau(b, n)), gb).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +323,8 @@ def covering_certificate(
     case 4 moves them one row down, the receiving column gaining a box
     (ambient a+2b+1, first block of size b+1 and an extra square factor).
     """
+    from .invariants import _permutation_sign  # invariants imports this module
+
     if case not in (3, 4):
         raise ValueError("only cases 3 and 4 carry certificates")
     if a < 1 or b < 0:
@@ -264,7 +350,7 @@ def covering_certificate(
     symmetrized = SparsePolynomial.zero(n)
     for image_a in itertools.combinations(union, a):
         image_b1 = tuple(i for i in union if i not in image_a)
-        sign = _shuffle_sign(union, image_a + image_b1)
+        sign = _permutation_sign(union, image_a + image_b1)
         term = vandermonde_squares(n, image_a) * vandermonde_squares(n, image_b1)
         for i in image_a:
             # R(x_i^2) with R(y) = prod_{j in B2} (y - x_j^2)
@@ -278,18 +364,6 @@ def covering_certificate(
     return CoveringCertificate(
         case, a, b, set_a, set_b1, set_b2, target, symmetrized, symmetrized == target
     )
-
-
-def _shuffle_sign(domain, image) -> int:
-    """Sign of the permutation of `domain` sending its i-th element to image[i]."""
-    position = {v: i for i, v in enumerate(domain)}
-    seq = [position[v] for v in image]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -319,7 +393,7 @@ def inclusion_by_certificates(
     if n <= groebner_bound:
         for upper, lower in zip(chain, chain[1:]):
             gb = specht_ideal_basis(upper, n, "lex", limits)
-            verified.append(ideal_contains(gb, specht_generators(lower, n), limits))
+            verified.append(ideal_contains(gb, specht_generators(lower, n)))
     return InclusionReport(True, tuple(chain), tuple(verified))
 
 
@@ -364,9 +438,6 @@ def radical_report(
     ideal membership; a radical ideal makes the two verdicts agree on every
     sample. The report records any disagreement instead of asserting.
     """
-    from .partitions import enumerate_bipartitions
-    from .tableaux import reference_bitableau, specht_polynomial_bn
-
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
     gens = specht_generators(shape, n)
@@ -414,8 +485,6 @@ def universal_gb_check(
     """
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
-    from .partitions import enumerate_bipartitions
-
     candidate: list[SparsePolynomial] = []
     seen = set()
     for other in enumerate_bipartitions(n):
@@ -431,14 +500,6 @@ def universal_gb_check(
 
 
 def _passes_buchberger_criterion(polys, order: str, limits: ResourceLimits) -> bool:
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            li = polys[i].leading_exponents(order)
-            lj = polys[j].leading_exponents(order)
-            if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-                continue
-            s = _normal_form(_s_polynomial(polys[i], polys[j], order), polys, order)
-            limits.check_terms(len(s.terms))
-            if not s.is_zero:
-                return False
-    return True
+    """True iff polys is a Groebner basis: no S-pair leaves a nonzero remainder."""
+    remainders = _s_pair_remainders([g for g in polys if not g.is_zero], order, limits)
+    return next(remainders, None) is None

@@ -54,12 +54,16 @@ _BASE_ORDERS = ("lex", "deglex", "degrevlex")
 ORDER_TAGS = _BASE_ORDERS + tuple(f"{t}-rev" for t in _BASE_ORDERS)
 
 
-def order_key(tag: str):
-    """Sort key for exponent tuples; larger key = larger monomial."""
+def _parse_order(tag: str) -> tuple[str, bool]:
     base, _, suffix = tag.partition("-")
     if base not in _BASE_ORDERS or (suffix and suffix != "rev"):
         raise ValueError(f"unknown monomial order {tag!r}; choose from {ORDER_TAGS}")
-    reverse_vars = suffix == "rev"
+    return base, suffix == "rev"
+
+
+def order_key(tag: str):
+    """Sort key for exponent tuples; larger key = larger monomial."""
+    base, reverse_vars = _parse_order(tag)
 
     def key(exps: Exponents):
         e = tuple(reversed(exps)) if reverse_vars else exps
@@ -72,25 +76,47 @@ def order_key(tag: str):
     return key
 
 
+def _descending_key(tag: str):
+    """Flat sort key for exponent tuples; smaller key = larger monomial.
+
+    Ascending order of this key is descending order of `order_key(tag)`, so a
+    min-heap keyed by it pops the largest monomial first.
+    """
+    base, reverse_vars = _parse_order(tag)
+    if base == "lex":
+        if reverse_vars:
+            return lambda e: tuple([-x for x in reversed(e)])
+        return lambda e: tuple([-x for x in e])
+    if base == "deglex":
+        if reverse_vars:
+            return lambda e: (-sum(e), *[-x for x in reversed(e)])
+        return lambda e: (-sum(e), *[-x for x in e])
+    if reverse_vars:
+        return lambda e: (-sum(e), *e)
+    return lambda e: (-sum(e), *reversed(e))
+
+
 _LEX = order_key("lex")
 
 
 class SparsePolynomial:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_hash", "_leads")
 
     def __init__(self, n: int, terms: dict[Exponents, Fraction] | None = None):
         self.n = n
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
                 if len(exps) != n:
                     raise AmbientMismatchError(f"exponent tuple {exps} does not match n={n}")
                 clean[exps] = coeff
         self.terms = clean
         self._hash = None
+        self._leads = None  # order tag -> leading exponents, filled on first use
 
     # -- constructors -------------------------------------------------------
 
@@ -193,9 +219,15 @@ class SparsePolynomial:
         return max((sum(e) for e in self.terms), default=-1)
 
     def leading_exponents(self, tag: str = "lex") -> Exponents:
+        leads = self._leads
+        if leads is None:
+            leads = self._leads = {}
+        elif tag in leads:
+            return leads[tag]
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order_key(tag))
+        lead = leads[tag] = max(self.terms, key=order_key(tag))
+        return lead
 
     def leading_monomial(self, tag: str = "lex") -> Monomial:
         return Monomial(self.leading_exponents(tag))

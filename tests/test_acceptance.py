@@ -232,9 +232,8 @@ def test_criterion_10():
                 assert lhs == rhs, str(bt)
 
 
-def test_criterion_11():
-    """criterion 11: universal-basis and radical reports produced and archived for n <= 3"""
-    REPORTS.mkdir(exist_ok=True)
+def test_criterion_11(tmp_path):
+    """criterion 11: universal-basis and radical reports reproduce the archive for n <= 3"""
     orders = ["lex", "deglex", "degrevlex", "lex-rev"]
     findings = []
     for n in (2, 3):
@@ -247,7 +246,7 @@ def test_criterion_11():
                 findings.append(f"{doc['shape']} (n={n}): some order fails")
             if not doc["radical"]["agreement"]:
                 findings.append(f"{doc['shape']} (n={n}): radical disagreement")
-        out = REPORTS / f"conjecture_n{n}.json"
+        out = tmp_path / f"conjecture_n{n}.json"
         out.write_text(json.dumps({"n": n, "orders": orders, "reports": entries, "findings": findings}, indent=2))
         archived = json.loads(out.read_text())
         assert archived["n"] == n and len(archived["reports"]) == len(
@@ -256,6 +255,7 @@ def test_criterion_11():
         for entry in archived["reports"]:
             assert set(entry["orders"]) == set(orders)
             assert "agreement" in entry["radical"]
+        assert out.read_text() == (REPORTS / out.name).read_text(), out.name
     # a failed check is a reportable finding, not a broken build; surface it
     if findings:
         print("reportable findings:", findings)

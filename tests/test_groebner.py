@@ -197,3 +197,15 @@ def test_universal_gb_check_reports():
 @given(st.sampled_from(enumerate_bipartitions(3)), st.sampled_from(enumerate_bipartitions(3)))
 def test_groebner_side_never_contradicts_the_order_side(a, b):
     assert specht_ideal_contains(a, b, 3) == bidominates(a, b)
+
+
+def test_universal_gb_check_n4_finding_survives_pruning():
+    # the candidate set of ((1,1,1),(1)) is not a Groebner basis in any of these
+    # orders; every other n = 4 candidate set is one under degrevlex
+    orders = ["lex", "deglex", "degrevlex", "lex-rev"]
+    rep = universal_gb_check(bp((1, 1, 1), (1,)), 4, orders)
+    assert rep.results == tuple((tag, False) for tag in orders)
+    for shape in enumerate_bipartitions(4):
+        if shape != bp((1, 1, 1), (1,)):
+            rep = universal_gb_check(shape, 4, ["degrevlex"])
+            assert rep.results == (("degrevlex", True),), str(shape)

@@ -13,6 +13,7 @@ from bnspecht.polynomials import (
     SignedPermutation,
     SparsePolynomial,
     act,
+    _descending_key,
     act_point,
     order_key,
     parse_polynomial,
@@ -119,6 +120,9 @@ def test_leading_data_and_monic():
     p = parse_polynomial("2*x2^3 + x1", 3)
     assert p.leading_exponents("lex") == (1, 0, 0)
     assert p.leading_exponents("deglex") == (0, 3, 0)
+    assert p.leading_exponents("lex") == (1, 0, 0)  # cached per order tag
+    with pytest.raises(ValueError):
+        SparsePolynomial.zero(2).leading_exponents("lex")
     assert p.monic("deglex").leading_coefficient("deglex") == 1
     assert p.sign_normalized() == p
     assert (-p).sign_normalized() == p
@@ -191,3 +195,10 @@ def test_json_terms_are_deterministic():
         {"coeff": "1", "exps": {"1": 2}},
         {"coeff": "-1", "exps": {"2": 2}},
     ]
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2, max_size=12, unique=True))
+def test_descending_key_reverses_order_key(exps):
+    for tag in ORDER_TAGS:
+        expected = sorted(exps, key=order_key(tag), reverse=True)
+        assert sorted(exps, key=_descending_key(tag)) == expected, tag
