@@ -1,5 +1,7 @@
 """Bipartition combinatorics, Specht ideals and varieties for signed permutations."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbientMismatchError,
     BnSpechtError,
@@ -8,12 +10,12 @@ from .errors import (
     NotApplicableError,
     ParseError,
     ResourceLimitExceeded,
+    ResourceLimits,
     SizeMismatchError,
 )
 from .groebner import (
     CoveringCertificate,
     GroebnerBasis,
-    ResourceLimits,
     buchberger,
     covering_certificate,
     inclusion_by_certificates,
@@ -98,5 +100,10 @@ from .varieties import (
     witness_z2,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing the submodules binds their names here too; they are not exports
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "1.0.0"

@@ -7,9 +7,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import BnSpechtError, ResourceLimitExceeded
+from .errors import DEFAULT_LIMITS, BnSpechtError, ResourceLimitExceeded, ResourceLimits
 from .groebner import (
-    ResourceLimits,
     covering_certificate,
     inclusion_by_certificates,
     radical_report,
@@ -34,7 +33,9 @@ EXIT_RESOURCE = 3
 
 
 def _limits(args) -> ResourceLimits:
-    return ResourceLimits(max_basis=args.max_basis, max_terms=args.max_terms)
+    return ResourceLimits(
+        max_basis=args.max_basis, max_terms=args.max_terms, max_cosets=args.max_cosets
+    )
 
 
 def _cmd_poset(args) -> dict | str:
@@ -66,10 +67,11 @@ def _cmd_order(args) -> dict:
 
 def _cmd_specht(args) -> dict:
     shape = parse_bipartition(args.shape)
+    limits = _limits(args)
     if args.all:
-        gens = specht_generators(shape, args.n)
+        gens = specht_generators(shape, args.n, limits)
     else:
-        gens = [specht_polynomial_bn(reference_bitableau(shape, args.n))]
+        gens = [specht_polynomial_bn(reference_bitableau(shape, args.n), limits)]
     return {"shape": str(shape), "n": args.n, "generators": [str(g) for g in gens]}
 
 
@@ -133,8 +135,9 @@ def _cmd_rank_bound(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bnspecht")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-basis", type=int, default=2000)
-    common.add_argument("--max-terms", type=int, default=200000)
+    common.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis)
+    common.add_argument("--max-terms", type=int, default=DEFAULT_LIMITS.max_terms)
+    common.add_argument("--max-cosets", type=int, default=DEFAULT_LIMITS.max_cosets)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poset", parents=[common])

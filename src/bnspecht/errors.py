@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and resource caps shared across the package."""
+
+from dataclasses import dataclass
 
 
 class BnSpechtError(Exception):
@@ -35,3 +37,27 @@ class ParseError(BnSpechtError, ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+@dataclass(frozen=True)
+class ResourceLimits:
+    """Caps turning potential blow-ups into structured failures."""
+
+    max_basis: int = 2000
+    max_terms: int = 200000
+    max_cosets: int = 10000
+
+    def check_basis(self, size: int):
+        if size > self.max_basis:
+            raise ResourceLimitExceeded(f"basis size {size} exceeds cap {self.max_basis}")
+
+    def check_terms(self, count: int):
+        if count > self.max_terms:
+            raise ResourceLimitExceeded(f"term count {count} exceeds cap {self.max_terms}")
+
+    def check_cosets(self, count: int):
+        if count > self.max_cosets:
+            raise ResourceLimitExceeded(f"coset count {count} exceeds cap {self.max_cosets}")
+
+
+DEFAULT_LIMITS = ResourceLimits()

@@ -8,7 +8,7 @@ from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add, ge, sub
 
-from .errors import AmbientMismatchError, ResourceLimitExceeded, SizeMismatchError
+from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits, SizeMismatchError
 from .partitions import (
     Bipartition,
     bidominates,
@@ -19,35 +19,13 @@ from .polynomials import (
     Exponents,
     Monomial,
     SparsePolynomial,
+    _column_expansion,
     _descending_key,
+    _permutation_sign,
     order_key,
     vandermonde_squares,
 )
 from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
-
-
-@dataclass(frozen=True)
-class ResourceLimits:
-    """Caps turning potential blow-ups into structured failures."""
-
-    max_basis: int = 2000
-    max_terms: int = 200000
-    max_cosets: int = 10000
-
-    def check_basis(self, size: int):
-        if size > self.max_basis:
-            raise ResourceLimitExceeded(f"basis size {size} exceeds cap {self.max_basis}")
-
-    def check_terms(self, count: int):
-        if count > self.max_terms:
-            raise ResourceLimitExceeded(f"term count {count} exceeds cap {self.max_terms}")
-
-    def check_cosets(self, count: int):
-        if count > self.max_cosets:
-            raise ResourceLimitExceeded(f"coset count {count} exceeds cap {self.max_cosets}")
-
-
-DEFAULT_LIMITS = ResourceLimits()
 
 
 @dataclass(frozen=True)
@@ -259,7 +237,7 @@ def ideal_contains(gb: GroebnerBasis, polys) -> bool:
 def specht_ideal_basis(
     shape: Bipartition, n: int, order: str = "lex", limits: ResourceLimits = DEFAULT_LIMITS
 ) -> GroebnerBasis:
-    return buchberger(specht_generators(shape, n), order, limits)
+    return buchberger(specht_generators(shape, n, limits), order, limits)
 
 
 def specht_ideal_contains(
@@ -279,7 +257,7 @@ def specht_ideal_contains(
     if a.size != n or b.size != n:
         raise SizeMismatchError(f"shapes must have size {n}")
     gb = specht_ideal_basis(a, n, order, limits)
-    return reduce(specht_polynomial_bn(reference_bitableau(b, n)), gb).is_zero
+    return reduce(specht_polynomial_bn(reference_bitableau(b, n), limits), gb).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +301,6 @@ def covering_certificate(
     case 4 moves them one row down, the receiving column gaining a box
     (ambient a+2b+1, first block of size b+1 and an extra square factor).
     """
-    from .invariants import _permutation_sign  # invariants imports this module
-
     if case not in (3, 4):
         raise ValueError("only cases 3 and 4 carry certificates")
     if a < 1 or b < 0:
@@ -351,7 +327,7 @@ def covering_certificate(
     for image_a in itertools.combinations(union, a):
         image_b1 = tuple(i for i in union if i not in image_a)
         sign = _permutation_sign(union, image_a + image_b1)
-        term = vandermonde_squares(n, image_a) * vandermonde_squares(n, image_b1)
+        term = _column_expansion(n, (image_a, image_b1), 2)
         for i in image_a:
             # R(x_i^2) with R(y) = prod_{j in B2} (y - x_j^2)
             xi2 = SparsePolynomial.variable(n, i, 2)
@@ -393,7 +369,7 @@ def inclusion_by_certificates(
     if n <= groebner_bound:
         for upper, lower in zip(chain, chain[1:]):
             gb = specht_ideal_basis(upper, n, "lex", limits)
-            verified.append(ideal_contains(gb, specht_generators(lower, n)))
+            verified.append(ideal_contains(gb, specht_generators(lower, n, limits)))
     return InclusionReport(True, tuple(chain), tuple(verified))
 
 
@@ -440,12 +416,12 @@ def radical_report(
     """
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
-    gens = specht_generators(shape, n)
+    gens = specht_generators(shape, n, limits)
     gb = buchberger(gens, "deglex", limits)
     samples = []
     agreement = True
     for other in enumerate_bipartitions(n):
-        f = specht_polynomial_bn(reference_bitableau(other, n))
+        f = specht_polynomial_bn(reference_bitableau(other, n), limits)
         in_radical = radical_membership(f, gens, limits)
         in_ideal = reduce(f, gb).is_zero
         samples.append(
@@ -489,7 +465,7 @@ def universal_gb_check(
     seen = set()
     for other in enumerate_bipartitions(n):
         if bidominates(shape, other):
-            for g in specht_generators(other, n):
+            for g in specht_generators(other, n, limits):
                 if g not in seen:
                     seen.add(g)
                     candidate.append(g)

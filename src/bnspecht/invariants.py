@@ -7,8 +7,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import NoConclusionError, NotApplicableError, ResourceLimitExceeded
-from .groebner import DEFAULT_LIMITS, ResourceLimits
+from .errors import (
+    DEFAULT_LIMITS,
+    NoConclusionError,
+    NotApplicableError,
+    ResourceLimitExceeded,
+    ResourceLimits,
+)
 from .partitions import (
     Bipartition,
     Partition,
@@ -16,7 +21,14 @@ from .partitions import (
     conjugate,
     enumerate_bipartitions,
 )
-from .polynomials import Monomial, SignedPermutation, SparsePolynomial, act, vandermonde_squares
+from .polynomials import (
+    Monomial,
+    SignedPermutation,
+    SparsePolynomial,
+    _column_expansion,
+    _permutation_sign,
+    act,
+)
 from .tableaux import num_standard_bitableaux
 
 
@@ -202,12 +214,8 @@ def verify_symmetrization(
     for i in profile.i2:
         cleaned = (cleaned - act(SignedPermutation.sign_flip(n, i), cleaned)).scale(half)
 
-    base_poly = cleaned
-    for s in index_sets:
-        base_poly = base_poly * vandermonde_squares(n, s)
-    for s in index_sets[profile.ell :]:
-        for i in s:
-            base_poly = base_poly * SparsePolynomial.variable(n, i)
+    odd_fresh = [i for s in index_sets[profile.ell :] for i in s]
+    base_poly = cleaned * _column_expansion(n, index_sets, 2, odd_fresh)
 
     blocks = [(base,) + s for base, s in zip(bases, index_sets)]
     group_size = prod(factorial(len(b)) for b in blocks)
@@ -228,24 +236,9 @@ def verify_symmetrization(
         total = total + act(g, base_poly).scale(sign)
 
     factor = prod(factorial(x) for x in sizes)
-    expected = SparsePolynomial.constant(n, factor * cleaned.coefficient(m.exps))
-    for b in blocks:
-        expected = expected * vandermonde_squares(n, b)
-    for b in blocks[profile.ell :]:
-        for i in b:
-            expected = expected * SparsePolynomial.variable(n, i)
-    return total == expected
-
-
-def _permutation_sign(domain, image) -> int:
-    position = {v: i for i, v in enumerate(domain)}
-    seq = [position[v] for v in image]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    odd_blocks = [i for b in blocks[profile.ell :] for i in b]
+    expected = _column_expansion(n, blocks, 2, odd_blocks)
+    return total == expected.scale(factor * cleaned.coefficient(m.exps))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from .errors import ParseError, SizeMismatchError
 
@@ -379,8 +379,15 @@ class HasseDiagram:
     vertices: tuple[Bipartition, ...]
     edges: tuple[tuple[int, int], ...] = field(default=())
 
+    @cached_property
+    def _positions(self) -> dict[Bipartition, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def index(self, v: Bipartition) -> int:
-        return self.vertices.index(v)
+        try:
+            return self._positions[v]
+        except KeyError:
+            raise ValueError(f"{v} is not a vertex of BP_{self.n}") from None
 
     def closure(self) -> set[tuple[int, int]]:
         """Reflexive-transitive closure of the covering edges, as index pairs."""
@@ -402,22 +409,24 @@ class HasseDiagram:
         return {(u, v) for u in below for v in dfs(u)}
 
     def maximal_chain_lengths(self) -> set[int]:
-        """Element counts of maximal chains from the maximum to the minimum."""
-        below = {i: [] for i in range(len(self.vertices))}
+        """Element counts of maximal chains from the maximum to the minimum.
+
+        Each vertex's set of chain lengths down to a minimal element is built
+        once, after those of the vertices it covers, so the cost is the edge
+        count times the number of distinct lengths, not the number of chains.
+        """
+        below = [[] for _ in self.vertices]
         for u, v in self.edges:
             below[u].append(v)
         top = self.index(bp((self.n,), ()) if self.n else bp((), ()))
-        lengths: set[int] = set()
+        lengths: dict[int, set[int]] = {}
 
-        def walk(u, count):
-            if not below[u]:
-                lengths.add(count)
-                return
-            for v in below[u]:
-                walk(v, count + 1)
+        def chains_from(u):
+            if u not in lengths:
+                lengths[u] = {c + 1 for v in below[u] for c in chains_from(v)} if below[u] else {1}
+            return lengths[u]
 
-        walk(top, 1)
-        return lengths
+        return chains_from(top)
 
     def to_json(self) -> str:
         doc = {

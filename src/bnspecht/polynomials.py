@@ -8,9 +8,11 @@ says otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import AmbientMismatchError, ParseError
 
@@ -130,8 +132,7 @@ class SparsePolynomial:
 
     @staticmethod
     def variable(n: int, i: int, power: int = 1) -> "SparsePolynomial":
-        if not 1 <= i <= n:
-            raise AmbientMismatchError(f"variable x{i} outside ambient 1..{n}")
+        _check_index(n, i)
         exps = tuple(power if j == i - 1 else 0 for j in range(n))
         return SparsePolynomial(n, {exps: Fraction(1)})
 
@@ -318,20 +319,75 @@ class SparsePolynomial:
 # named constructions
 
 
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def _permutation_sign(domain, image) -> int:
+    """Sign of the permutation sending domain[i] to image[i] (same entries)."""
+    position = {v: i for i, v in enumerate(domain)}
+    seq = [position[v] for v in image]
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+@functools.cache
+def _permutation_signs(h: int) -> tuple[int, ...]:
+    """Signs of the permutations of range(h), in itertools.permutations order."""
+    base = tuple(range(h))
+    return tuple(_permutation_sign(base, p) for p in itertools.permutations(base))
+
+
+def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
+    """prod over columns of prod_{a<b} (x_{c_a}^step - x_{c_b}^step), times prod_{k in odd} x_k.
+
+    A column (c_1, ..., c_h) is the Vandermonde determinant
+    sum_sigma sgn(sigma) prod_a x_{c_sigma(a)}^(step*(h-a)). The columns use
+    disjoint variables, so their product is a sum over the column group
+    prod S_h whose prod h! terms are distinct monomials with coefficient +-1,
+    built here without any polynomial multiplication.
+    """
+    flat = [i for col in columns for i in col]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"repeated index in Vandermonde columns {list(columns)}")
+    base = [0] * n
+    for k in odd:
+        _check_index(n, k)
+        base[k - 1] += 1
+    terms = [(tuple(base), 1)]
+    for col in columns:
+        h = len(col)
+        if h < 2:
+            continue
+        for i in col:
+            _check_index(n, i)
+        powers = [step * (h - 1 - a) for a in range(h)]
+        shifts = []
+        for sign, image in zip(_permutation_signs(h), itertools.permutations(col)):
+            delta = [0] * n
+            for i, e in zip(image, powers):
+                delta[i - 1] = e
+            shifts.append((tuple(delta), sign))
+        terms = [(tuple(map(add, e, d)), s * t) for e, s in terms for d, t in shifts]
+    return SparsePolynomial(n, {e: _ONE if s > 0 else _MINUS_ONE for e, s in terms})
+
+
+def _check_index(n: int, i: int):
+    if not 1 <= i <= n:
+        raise AmbientMismatchError(f"variable x{i} outside ambient 1..{n}")
+
+
 def vandermonde(n: int, indices) -> SparsePolynomial:
     """Product of pairwise differences over an index sequence; 1 if < 2 indices."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"repeated index in Vandermonde sequence {idx}")
-    result = SparsePolynomial.constant(n, 1)
-    for j, k in itertools.combinations(idx, 2):
-        result = result * (SparsePolynomial.variable(n, j) - SparsePolynomial.variable(n, k))
-    return result
+    return _column_expansion(n, (tuple(indices),), 1)
 
 
 def vandermonde_squares(n: int, indices) -> SparsePolynomial:
     """Vandermonde in the squared variables."""
-    return vandermonde(n, indices).substitute_squares()
+    return _column_expansion(n, (tuple(indices),), 2)
 
 
 # ---------------------------------------------------------------------------

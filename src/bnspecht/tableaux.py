@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
+from .errors import DEFAULT_LIMITS, ResourceLimits
 from .partitions import Bipartition, Partition, glue
-from .polynomials import SparsePolynomial, vandermonde, vandermonde_squares
+from .polynomials import SparsePolynomial, _column_expansion
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,16 @@ def specht_polynomial_sn(t: Tableau, n: int | None = None) -> SparsePolynomial:
     """Product of the column Vandermonde polynomials."""
     if n is None:
         n = max(t.entries, default=1)
-    result = SparsePolynomial.constant(n, 1)
-    for col in t.columns():
-        result = result * vandermonde(n, col)
-    return result
+    return _column_expansion(n, t.columns(), 1)
 
 
-def specht_polynomial_bn(bt: Bitableau) -> SparsePolynomial:
+def specht_polynomial_bn(
+    bt: Bitableau, limits: ResourceLimits = DEFAULT_LIMITS
+) -> SparsePolynomial:
     """Columnwise Vandermondes in the squares, times the second component's variables."""
-    n = bt.n
-    result = SparsePolynomial.constant(n, 1)
-    for col in bt.first.columns() + bt.second.columns():
-        result = result * vandermonde_squares(n, col)
-    for k in sorted(bt.second.entries):
-        result = result * SparsePolynomial.variable(n, k)
-    return result
+    cols = bt.first.columns() + bt.second.columns()
+    limits.check_terms(prod(factorial(len(col)) for col in cols))
+    return _column_expansion(bt.n, cols, 2, sorted(bt.second.entries))
 
 
 def reference_bitableau(shape: Bipartition, n: int) -> Bitableau:
@@ -170,34 +166,43 @@ def relabel_bitableau(bt: Bitableau, mapping: dict[int, int]) -> Bitableau:
     return Bitableau(remap(bt.first), remap(bt.second), bt.n)
 
 
-def specht_generators(shape: Bipartition, n: int) -> list[SparsePolynomial]:
-    """The S_n-orbit of the reference Specht polynomial, deduplicated up to sign."""
+def specht_generators(
+    shape: Bipartition, n: int, limits: ResourceLimits = DEFAULT_LIMITS
+) -> list[SparsePolynomial]:
+    """The S_n-orbit of the reference Specht polynomial, one per sign class.
+
+    A Specht polynomial is fixed up to sign by its column sets and by which
+    tableau each column belongs to, and distinct assignments give distinct
+    polynomials. Each assignment is enumerated once: a combination of the
+    remaining entries per column, with equal-height columns of one tableau in
+    increasing order. Output follows the sorted (first, second) column sets.
+    Ascending columns put every polynomial's lex-leading term at the identity
+    of the column group, with coefficient +1, so each comes out sign-normalized.
+    """
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
-    ref = reference_bitableau(shape, n)
-    # a Specht polynomial depends (up to sign) only on the column sets and the
-    # split of [n] between the two tableaux, so dedupe combinatorially first
-    seen_keys = set()
-    combinatorial = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapping = dict(zip(range(1, n + 1), perm))
-        first_cols = tuple(sorted(tuple(sorted(mapping[e] for e in col)) for col in ref.first.columns()))
-        second_cols = tuple(sorted(tuple(sorted(mapping[e] for e in col)) for col in ref.second.columns()))
-        key = (first_cols, second_cols)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            combinatorial.append(key)
-    polys = {}
-    for first_cols, second_cols in sorted(combinatorial):
-        n_vars = n
-        poly = SparsePolynomial.constant(n_vars, 1)
-        for col in first_cols + second_cols:
-            poly = poly * vandermonde_squares(n_vars, col)
-        for k in sorted(e for col in second_cols for e in col):
-            poly = poly * SparsePolynomial.variable(n_vars, k)
-        poly = poly.sign_normalized()
-        polys.setdefault(poly, None)
-    return list(polys)
+    left_heights = _column_heights(shape.left)
+    heights = left_heights + _column_heights(shape.right)
+    split = len(left_heights)
+    limits.check_terms(prod(factorial(h) for h in heights))
+    keys = []
+
+    def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
+        if k == len(heights):
+            keys.append((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))))
+            return
+        after_equal = k not in (0, split) and heights[k - 1] == heights[k]
+        for col in itertools.combinations(remaining, heights[k]):
+            if after_equal and col < chosen[-1]:
+                continue
+            rest = tuple(e for e in remaining if e not in col)
+            assign(k + 1, rest, chosen + [col])
+
+    assign(0, tuple(range(1, n + 1)), [])
+    return [
+        _column_expansion(n, first + second, 2, [e for col in second for e in col])
+        for first, second in sorted(keys)
+    ]
 
 
 # ---------------------------------------------------------------------------
