@@ -19,9 +19,9 @@ from .polynomials import (
     Exponents,
     Monomial,
     SparsePolynomial,
+    _alternating_sum,
     _column_expansion,
     _descending_key,
-    _permutation_sign,
     order_key,
     vandermonde_squares,
 )
@@ -323,19 +323,22 @@ def covering_certificate(
 
     target = vandermonde_squares(n, union)
 
-    symmetrized = SparsePolynomial.zero(n)
-    for image_a in itertools.combinations(union, a):
-        image_b1 = tuple(i for i in union if i not in image_a)
-        sign = _permutation_sign(union, image_a + image_b1)
-        term = _column_expansion(n, (image_a, image_b1), 2)
-        for i in image_a:
-            # R(x_i^2) with R(y) = prod_{j in B2} (y - x_j^2)
-            xi2 = SparsePolynomial.variable(n, i, 2)
-            for j in set_b2:
-                term = term * (xi2 - SparsePolynomial.variable(n, j, 2))
-            if extra_square:
-                term = term * xi2
-        symmetrized = symmetrized + term.scale(sign)
+    # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
+    # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
+    # union -> image_a + rest, which fixes B2 and so R: build the A term once, then relabel.
+    base = _column_expansion(n, (set_a, set_b1), 2)
+    for i in set_a:
+        xi2 = SparsePolynomial.variable(n, i, 2)
+        for j in set_b2:
+            base = base * (xi2 - SparsePolynomial.variable(n, j, 2))
+        if extra_square:
+            base = base * xi2
+    symmetrized = _alternating_sum(
+        base,
+        union,
+        (image_a + tuple(i for i in union if i not in image_a)
+         for image_a in itertools.combinations(union, a)),
+    )
 
     return CoveringCertificate(
         case, a, b, set_a, set_b1, set_b2, target, symmetrized, symmetrized == target

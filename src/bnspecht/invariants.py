@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import (
-    DEFAULT_LIMITS,
-    NoConclusionError,
-    NotApplicableError,
-    ResourceLimitExceeded,
-    ResourceLimits,
-)
+from .errors import DEFAULT_LIMITS, NoConclusionError, NotApplicableError, ResourceLimits
 from .partitions import (
     Bipartition,
     Partition,
@@ -25,8 +19,8 @@ from .polynomials import (
     Monomial,
     SignedPermutation,
     SparsePolynomial,
+    _alternating_sum,
     _column_expansion,
-    _permutation_sign,
     act,
 )
 from .tableaux import num_standard_bitableaux
@@ -144,17 +138,14 @@ def rank_bound(shape: Bipartition, n: int) -> int:
 
 def detection_report(P: SparsePolynomial, n: int) -> dict:
     """JSON-ready summary of the detection, exclusion and rank-bound analysis."""
+    detected = dict(detect_specht_subideal(P, n))
     monomials = []
-    top = P.top_component()
-    weight = len(top.variables())
-    for exps in sorted(top.terms, reverse=True):
+    for exps in sorted(P.top_component().terms, reverse=True):
         m = Monomial(exps)
-        p = monomial_profile(m)
-        applicable = weight + p.d1 + p.d2 <= n
-        entry = {"monomial": str(m), "applicable": applicable}
-        if applicable:
+        entry = {"monomial": str(m), "applicable": m in detected}
+        if m in detected:
             entry["gamma"] = str(gamma(m, n))
-            entry["gamma_star"] = str(gamma_star(m, n))
+            entry["gamma_star"] = str(detected[m])
         monomials.append(entry)
     report = {"polynomial": str(P), "n": n, "monomials": monomials}
     try:
@@ -218,22 +209,13 @@ def verify_symmetrization(
     base_poly = cleaned * _column_expansion(n, index_sets, 2, odd_fresh)
 
     blocks = [(base,) + s for base, s in zip(bases, index_sets)]
-    group_size = prod(factorial(len(b)) for b in blocks)
-    if group_size > limits.max_cosets:
-        raise ResourceLimitExceeded(
-            f"symmetrization group of size {group_size} exceeds cap {limits.max_cosets}"
-        )
-
-    total = SparsePolynomial.zero(n)
-    for images in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        perm = list(range(1, n + 1))
-        sign = 1
-        for block, image in zip(blocks, images):
-            for src, dst in zip(block, image):
-                perm[src - 1] = dst
-            sign *= _permutation_sign(block, image)
-        g = SignedPermutation.from_permutation(tuple(perm))
-        total = total + act(g, base_poly).scale(sign)
+    limits.check_cosets(prod(factorial(len(b)) for b in blocks))
+    # the sign over the concatenated blocks is the product of the block signs
+    total = _alternating_sum(
+        base_poly,
+        sum(blocks, ()),
+        (sum(images, ()) for images in itertools.product(*map(itertools.permutations, blocks))),
+    )
 
     factor = prod(factorial(x) for x in sizes)
     odd_blocks = [i for b in blocks[profile.ell :] for i in b]
@@ -246,15 +228,26 @@ def verify_symmetrization(
 
 
 def bn_orbit(P: SparsePolynomial) -> list[SparsePolynomial]:
-    """The full signed-permutation orbit of P, deduplicated, in canonical order."""
+    """The full signed-permutation orbit of P, deduplicated, in canonical order.
+
+    The orbit is the closure of {P} under the generators of B_n: the adjacent
+    transpositions and the sign flip of x1. Each orbit element is acted on
+    once per generator.
+    """
     n = P.n
-    seen = set()
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            q = act(SignedPermutation(perm, signs), P)
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
+    generators = [SignedPermutation.sign_flip(n, 1)] + [
+        SignedPermutation.from_permutation(
+            tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+        )
+        for i in range(1, n)
+    ]
+    out = [P]
+    seen = {P}
+    for q in out:
+        for g in generators:
+            r = act(g, q)
+            if r not in seen:
+                seen.add(r)
+                out.append(r)
     out.sort(key=lambda q: sorted(q.terms.items()))
     return out

@@ -188,9 +188,17 @@ class SparsePolynomial:
         return SparsePolynomial(self.n, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
+        """Power by repeated squaring; negative exponents are rejected."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         result = SparsePolynomial.constant(self.n, 1)
-        for _ in range(k):
-            result = result * self
+        square = self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def __eq__(self, other):
@@ -467,6 +475,23 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
             terms[key] = acc
         else:
             terms.pop(key, None)
+    return SparsePolynomial(p.n, terms)
+
+
+def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
+    """sum over images of sgn(domain -> image) * sigma(p).
+
+    sigma sends domain[k] to image[k] for every k and fixes every other
+    variable; each image must be a rearrangement of domain.
+    """
+    terms: dict[Exponents, Fraction] = {}
+    for image in images:
+        perm = list(range(1, p.n + 1))
+        for src, dst in zip(domain, image):
+            perm[src - 1] = dst
+        sign = _permutation_sign(domain, image)
+        for exps, coeff in act(SignedPermutation.from_permutation(perm), p).terms.items():
+            terms[exps] = terms.get(exps, 0) + sign * coeff
     return SparsePolynomial(p.n, terms)
 
 

@@ -5,7 +5,9 @@ one expansion routine, so checks that compare two of them (such as the
 glueing identity) no longer test the routine itself. The references below
 rebuild the same polynomials the slow way: Vandermondes as products of
 binomials, generators from all n! relabellings of the reference bitableau,
-and chain lengths by walking every maximal chain.
+chain lengths by walking every maximal chain, alternating sums as explicit
+signed sums of relabelled copies, and orbits by acting with all 2^n n!
+signed permutations.
 """
 
 import itertools
@@ -16,7 +18,17 @@ import pytest
 from bnspecht.cli import EXIT_RESOURCE, run
 from bnspecht.errors import AmbientMismatchError, ResourceLimitExceeded, ResourceLimits
 from bnspecht.partitions import bp, enumerate_bipartitions, hasse_diagram
-from bnspecht.polynomials import SparsePolynomial, vandermonde, vandermonde_squares
+from bnspecht.invariants import bn_orbit
+from bnspecht.polynomials import (
+    SignedPermutation,
+    SparsePolynomial,
+    _alternating_sum,
+    _permutation_sign,
+    act,
+    parse_polynomial,
+    vandermonde,
+    vandermonde_squares,
+)
 from bnspecht.tableaux import (
     glue_bitableau,
     reference_bitableau,
@@ -62,6 +74,27 @@ def permutation_walk_generators(shape, n):
             poly = poly * SparsePolynomial.variable(n, k)
         polys.setdefault(poly.sign_normalized(), None)
     return list(polys)
+
+
+def explicit_alternating_sum(p, domain, images):
+    total = SparsePolynomial.zero(p.n)
+    for image in images:
+        perm = list(range(1, p.n + 1))
+        for src, dst in zip(domain, image):
+            perm[src - 1] = dst
+        g = SignedPermutation.from_permutation(perm)
+        total = total + act(g, p).scale(_permutation_sign(domain, image))
+    return total
+
+
+def walked_orbit(p):
+    """Every signed permutation applied to p, deduplicated, in canonical order."""
+    orbit = {
+        act(SignedPermutation(perm, signs), p)
+        for perm in itertools.permutations(range(1, p.n + 1))
+        for signs in itertools.product((1, -1), repeat=p.n)
+    }
+    return sorted(orbit, key=lambda q: sorted(q.terms.items()))
 
 
 def walked_chain_lengths(diagram):
@@ -149,3 +182,52 @@ def test_cli_caps_exit_with_resource_code(capsys, argv):
     assert run(argv) == EXIT_RESOURCE
     assert time.perf_counter() - start < 1
     assert '"resource-exceeded"' in capsys.readouterr().out
+
+
+ALTERNATING_CASES = [
+    ("x1^3*x2 - 2*x2^2*x3 + x4", 4),
+    ("x1^2*x2*x5^3 + 3*x3 - x4^2*x5", 5),
+    ("x2*x3^2*(x1^2 - 1) + x1*x4", 4),
+    ("7", 3),
+]
+
+
+@pytest.mark.parametrize("text,n", ALTERNATING_CASES)
+def test_alternating_sum_matches_explicit_sum(text, n):
+    p = parse_polynomial(text, n)
+    for k in range(n + 1):
+        for domain in itertools.permutations(range(1, n + 1), k):
+            images = list(itertools.permutations(domain))
+            assert _alternating_sum(p, domain, images) == explicit_alternating_sum(
+                p, domain, images
+            )
+            half = images[::2]
+            assert _alternating_sum(p, domain, half) == explicit_alternating_sum(p, domain, half)
+
+
+def test_alternating_sum_of_a_monomial_is_a_vandermonde():
+    # sum_sigma sgn(sigma) x_sigma(1)^2 x_sigma(2) is V(x1, x2, x3)
+    p = parse_polynomial("x1^2*x2", 3)
+    assert _alternating_sum(p, (1, 2, 3), itertools.permutations((1, 2, 3))) == vandermonde(
+        3, (1, 2, 3)
+    )
+
+
+ORBIT_CASES = [
+    ("x1*x2*x3", 3),
+    ("x1*x2*x3", 5),
+    ("x1^2 + x2^2", 4),
+    ("x1^2 + x2^2", 5),
+    ("5", 4),
+    ("0", 3),
+    ("x1", 1),
+    ("x2*x3*(x1^2 - 1)", 5),
+    ("x1^3*x2 - x2*x4^2 + x3", 4),
+    ("x1^2*x2*x3 + x1", 5),
+]
+
+
+@pytest.mark.parametrize("text,n", ORBIT_CASES)
+def test_bn_orbit_matches_the_group_walk(text, n):
+    p = parse_polynomial(text, n)
+    assert bn_orbit(p) == walked_orbit(p)

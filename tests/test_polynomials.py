@@ -1,5 +1,6 @@
 """Tests for the exact polynomial engine and the signed-permutation action."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,23 @@ def test_parser_grammar():
         2, {(1, 0): Fraction(-1), (0, 0): Fraction(2)}
     )
     assert parse_polynomial("(x1+x2)^2", 2) == parse_polynomial("x1^2+2*x1*x2+x2^2", 2)
+
+
+def test_power_by_squaring_handles_huge_exponents():
+    start = time.perf_counter()
+    p = parse_polynomial("x1^1000000000", 1)
+    assert time.perf_counter() - start < 1
+    assert p == SparsePolynomial(1, {(10**9,): Fraction(1)})
+    q = parse_polynomial("x1 - 2*x2", 2)
+    expected = SparsePolynomial.constant(2, 1)
+    for k in range(8):
+        assert q**k == expected
+        expected = expected * q
+
+
+def test_negative_power_is_rejected():
+    with pytest.raises(ValueError):
+        parse_polynomial("x1 + 1", 1) ** -1
 
 
 def test_leading_data_and_monic():
