@@ -17,7 +17,6 @@ from .partitions import (
 )
 from .polynomials import (
     Exponents,
-    Monomial,
     SparsePolynomial,
     _alternating_sum,
     _column_expansion,
@@ -42,9 +41,6 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0] == SparsePolynomial.constant(
             self.n, 1
         )
-
-    def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.generators]
 
 
 def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
@@ -345,6 +341,10 @@ def covering_certificate(
     )
 
 
+# covering steps are witnessed by Groebner reduction up to this n
+_GROEBNER_WITNESS_MAX_N = 4
+
+
 @dataclass(frozen=True)
 class InclusionReport:
     included: bool
@@ -359,7 +359,6 @@ def inclusion_by_certificates(
     a: Bipartition,
     b: Bipartition,
     n: int,
-    groebner_bound: int = 4,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> InclusionReport:
     """Exhibit a covering chain from b up to a; witness each step if n is small."""
@@ -367,13 +366,14 @@ def inclusion_by_certificates(
         raise SizeMismatchError(f"shapes must have size {n}")
     if not bidominates(a, b):
         raise ValueError(f"{a} does not bidominate {b}")
-    chain = _covering_chain(a, b)
-    verified = []
-    if n <= groebner_bound:
-        for upper, lower in zip(chain, chain[1:]):
-            gb = specht_ideal_basis(upper, n, "lex", limits)
-            verified.append(ideal_contains(gb, specht_generators(lower, n, limits)))
-    return InclusionReport(True, tuple(chain), tuple(verified))
+    chain = tuple(_covering_chain(a, b))
+    verified = ()
+    if n <= _GROEBNER_WITNESS_MAX_N:
+        verified = tuple(
+            specht_ideal_contains(upper, lower, n, "lex", limits)
+            for upper, lower in zip(chain, chain[1:])
+        )
+    return InclusionReport(True, chain, verified)
 
 
 def _covering_chain(a: Bipartition, b: Bipartition) -> list[Bipartition]:
@@ -464,18 +464,15 @@ def universal_gb_check(
     """
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
-    candidate: list[SparsePolynomial] = []
-    seen = set()
-    for other in enumerate_bipartitions(n):
-        if bidominates(shape, other):
-            for g in specht_generators(other, n, limits):
-                if g not in seen:
-                    seen.add(g)
-                    candidate.append(g)
-    results = []
-    for tag in orders:
-        results.append((tag, _passes_buchberger_criterion(candidate, tag, limits)))
-    return UniversalGBReport(shape, n, tuple(results), len(candidate))
+    # generators of distinct shapes are distinct polynomials (unique factorisation)
+    candidate = [
+        g
+        for other in enumerate_bipartitions(n)
+        if bidominates(shape, other)
+        for g in specht_generators(other, n, limits)
+    ]
+    results = tuple((tag, _passes_buchberger_criterion(candidate, tag, limits)) for tag in orders)
+    return UniversalGBReport(shape, n, results, len(candidate))
 
 
 def _passes_buchberger_criterion(polys, order: str, limits: ResourceLimits) -> bool:

@@ -106,7 +106,16 @@ def detect_specht_subideal(P: SparsePolynomial, n: int) -> list[tuple[Monomial, 
 
 def maximal_detected(P: SparsePolynomial, n: int) -> list[Bipartition]:
     """Bidominance-maximal labels among the detections (an antichain)."""
-    detected = {g for _, g in detect_specht_subideal(P, n)}
+    return _maxima(g for _, g in detect_specht_subideal(P, n))
+
+
+def excluded_orbit_classes(P: SparsePolynomial, n: int) -> list[Bipartition]:
+    """Classes guaranteed to miss the zero set of any invariant ideal containing P."""
+    return _below_any(maximal_detected(P, n), n)
+
+
+def _maxima(labels) -> list[Bipartition]:
+    detected = set(labels)
     if not detected:
         raise NoConclusionError("no monomial of the top component qualifies")
     return sorted(
@@ -115,9 +124,8 @@ def maximal_detected(P: SparsePolynomial, n: int) -> list[Bipartition]:
     )
 
 
-def excluded_orbit_classes(P: SparsePolynomial, n: int) -> list[Bipartition]:
-    """Classes guaranteed to miss the zero set of any invariant ideal containing P."""
-    maxima = maximal_detected(P, n)
+def _below_any(maxima, n: int) -> list[Bipartition]:
+    """The union of the down-sets of maxima in BP_n, in vertex order."""
     return [
         other
         for other in enumerate_bipartitions(n)
@@ -149,9 +157,9 @@ def detection_report(P: SparsePolynomial, n: int) -> dict:
         monomials.append(entry)
     report = {"polynomial": str(P), "n": n, "monomials": monomials}
     try:
-        maxima = maximal_detected(P, n)
+        maxima = _maxima(detected.values())
         report["maximal_gamma_star"] = [str(g) for g in maxima]
-        report["excluded_classes"] = [str(c) for c in excluded_orbit_classes(P, n)]
+        report["excluded_classes"] = [str(c) for c in _below_any(maxima, n)]
         report["rank_bound"] = min(rank_bound(g, n) for g in maxima)
     except NoConclusionError:
         report["maximal_gamma_star"] = []

@@ -342,33 +342,33 @@ def bipartition_coverings_below(a: Bipartition) -> list[Bipartition]:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, lexicographically sorted."""
+    """All partitions of n in lex order: each row takes its values in ascending order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    result: list[tuple[int, ...]] = []
+    result: list[Partition] = []
 
     def build(remaining, bound, prefix):
         if remaining == 0:
-            result.append(tuple(prefix))
+            result.append(Partition(prefix))
             return
-        for part in range(min(remaining, bound), 0, -1):
-            build(remaining - part, part, prefix + [part])
+        for part in range(1, min(remaining, bound) + 1):
+            build(remaining - part, part, prefix + (part,))
 
-    build(n, n, [])
-    return sorted((Partition(t) for t in result), key=lambda p: p.parts)
+    build(n, n, ())
+    return result
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
-    """All bipartitions of n in the deterministic vertex order."""
+    """All bipartitions of n, built in the vertex order of `Bipartition.sort_key`."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = [
+    partitions = [enumerate_partitions(k) for k in range(n + 1)]
+    return [
         Bipartition(left, right)
         for a in range(n, -1, -1)
-        for left in enumerate_partitions(a)
-        for right in enumerate_partitions(n - a)
+        for left in partitions[a]
+        for right in partitions[n - a]
     ]
-    return sorted(out, key=Bipartition.sort_key)
 
 
 @dataclass(frozen=True)

@@ -63,26 +63,10 @@ def _parse_order(tag: str) -> tuple[str, bool]:
     return base, suffix == "rev"
 
 
-def order_key(tag: str):
-    """Sort key for exponent tuples; larger key = larger monomial."""
-    base, reverse_vars = _parse_order(tag)
-
-    def key(exps: Exponents):
-        e = tuple(reversed(exps)) if reverse_vars else exps
-        if base == "lex":
-            return e
-        if base == "deglex":
-            return (sum(e), e)
-        return (sum(e), tuple(-x for x in reversed(e)))
-
-    return key
-
-
 def _descending_key(tag: str):
     """Flat sort key for exponent tuples; smaller key = larger monomial.
 
-    Ascending order of this key is descending order of `order_key(tag)`, so a
-    min-heap keyed by it pops the largest monomial first.
+    A min-heap keyed by it pops the largest monomial first.
     """
     base, reverse_vars = _parse_order(tag)
     if base == "lex":
@@ -98,7 +82,13 @@ def _descending_key(tag: str):
     return lambda e: (-sum(e), *reversed(e))
 
 
-_LEX = order_key("lex")
+def order_key(tag: str):
+    """Sort key for exponent tuples; larger key = larger monomial.
+
+    The negation of `_descending_key(tag)`, so the six orders are defined once.
+    """
+    descending = _descending_key(tag)
+    return lambda e: tuple([-x for x in descending(e)])
 
 
 class SparsePolynomial:
@@ -235,11 +225,8 @@ class SparsePolynomial:
             return leads[tag]
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        lead = leads[tag] = max(self.terms, key=order_key(tag))
+        lead = leads[tag] = min(self.terms, key=_descending_key(tag))
         return lead
-
-    def leading_monomial(self, tag: str = "lex") -> Monomial:
-        return Monomial(self.leading_exponents(tag))
 
     def leading_coefficient(self, tag: str = "lex") -> Fraction:
         return self.terms[self.leading_exponents(tag)]
@@ -298,7 +285,7 @@ class SparsePolynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=_LEX, reverse=True):
+        for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
             mono = str(Monomial(exps))
             if mono == "1":
@@ -317,7 +304,7 @@ class SparsePolynomial:
 
     def to_json_terms(self) -> list[dict]:
         out = []
-        for exps in sorted(self.terms, key=_LEX, reverse=True):
+        for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
             out.append({"coeff": str(coeff), "exps": {str(i + 1): e for i, e in enumerate(exps) if e}})
         return out

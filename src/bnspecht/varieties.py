@@ -14,6 +14,7 @@ from .partitions import (
     concatenate,
     cut,
     enumerate_bipartitions,
+    glue,
 )
 from .tableaux import specht_generators
 
@@ -119,8 +120,6 @@ def decomposition_report(shape: Bipartition) -> dict:
 
 def witness_z1(shape: Bipartition) -> Point:
     """Blocks of distinct nonzero values with multiplicities from the glued shape."""
-    from .partitions import glue
-
     merged = glue(shape.left, shape.right)
     coords: list[Fraction] = []
     for i, mult in enumerate(merged.parts, start=1):

@@ -6,8 +6,9 @@ glueing identity) no longer test the routine itself. The references below
 rebuild the same polynomials the slow way: Vandermondes as products of
 binomials, generators from all n! relabellings of the reference bitableau,
 chain lengths by walking every maximal chain, alternating sums as explicit
-signed sums of relabelled copies, and orbits by acting with all 2^n n!
-signed permutations.
+signed sums of relabelled copies, orbits by acting with all 2^n n!
+signed permutations, enumerations of BP_n by sorting, and inclusion steps
+by reducing every generator of the smaller ideal.
 """
 
 import itertools
@@ -17,7 +18,22 @@ import pytest
 
 from bnspecht.cli import EXIT_RESOURCE, run
 from bnspecht.errors import AmbientMismatchError, ResourceLimitExceeded, ResourceLimits
-from bnspecht.partitions import bp, enumerate_bipartitions, hasse_diagram
+from bnspecht import partitions
+from bnspecht.groebner import (
+    ideal_contains,
+    inclusion_by_certificates,
+    specht_ideal_basis,
+    universal_gb_check,
+)
+from bnspecht.partitions import (
+    Bipartition,
+    Partition,
+    bidominates,
+    bp,
+    enumerate_bipartitions,
+    enumerate_partitions,
+    hasse_diagram,
+)
 from bnspecht.invariants import bn_orbit
 from bnspecht.polynomials import (
     SignedPermutation,
@@ -111,6 +127,78 @@ def walked_chain_lengths(diagram):
 
     walk(diagram.vertices.index(bp((diagram.n,), ())), 1)
     return lengths
+
+
+def sorted_partitions(n):
+    """Partitions of n from a descending-parts recursion, then sorted."""
+    result = []
+
+    def build(remaining, bound, prefix):
+        if remaining == 0:
+            result.append(tuple(prefix))
+            return
+        for part in range(min(remaining, bound), 0, -1):
+            build(remaining - part, part, prefix + [part])
+
+    build(n, n, [])
+    return sorted((Partition(t) for t in result), key=lambda p: p.parts)
+
+
+def sorted_bipartitions(n):
+    out = [
+        Bipartition(left, right)
+        for a in range(n, -1, -1)
+        for left in sorted_partitions(a)
+        for right in sorted_partitions(n - a)
+    ]
+    return sorted(out, key=Bipartition.sort_key)
+
+
+def all_generator_steps(chain, n):
+    """Each covering step decided by reducing every generator of the lower shape."""
+    return tuple(
+        ideal_contains(specht_ideal_basis(upper, n, "lex"), specht_generators(lower, n))
+        for upper, lower in zip(chain, chain[1:])
+    )
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_enumerations_match_the_sorted_references(n):
+    assert enumerate_partitions(n) == sorted_partitions(n)
+    assert enumerate_bipartitions(n) == sorted_bipartitions(n)
+
+
+def test_bipartition_enumeration_builds_each_size_once(monkeypatch):
+    calls = []
+    original = partitions.enumerate_partitions
+    monkeypatch.setattr(
+        partitions, "enumerate_partitions", lambda k: calls.append(k) or original(k)
+    )
+    assert len(enumerate_bipartitions(10)) == 481
+    assert sorted(calls) == list(range(11))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_generators_of_distinct_shapes_are_distinct(n):
+    gens = [g for s in enumerate_bipartitions(n) for g in specht_generators(s, n)]
+    assert len(set(gens)) == len(gens)
+
+
+@pytest.mark.parametrize("shape,n", [(s, n) for s, n in SHAPES_UP_TO_6 if n <= 4], ids=str)
+def test_universal_candidate_counts_every_generator_below(shape, n):
+    below = [s for s in enumerate_bipartitions(n) if bidominates(shape, s)]
+    expected = sum(len(specht_generators(s, n)) for s in below)
+    assert universal_gb_check(shape, n, []).generator_count == expected
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_inclusion_steps_match_the_all_generator_reduction(n):
+    shapes = enumerate_bipartitions(n)
+    for a, b in itertools.product(shapes, repeat=2):
+        if bidominates(a, b):
+            report = inclusion_by_certificates(a, b, n)
+            assert report.verified_steps == all_generator_steps(report.chain, n), (a, b)
+            assert all(report.verified_steps) and len(report.verified_steps) == len(report.chain) - 1
 
 
 @pytest.mark.parametrize("k", range(7))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bnspecht.errors import NoConclusionError, NotApplicableError, ResourceLimitExceeded
 from bnspecht.groebner import ResourceLimits, buchberger, ideal_contains
+from bnspecht import invariants
 from bnspecht.invariants import (
     bn_orbit,
     detect_specht_subideal,
@@ -119,8 +120,34 @@ def test_detection_report_schema():
     assert doc["maximal_gamma_star"] == ["((1,1),(2))"]
     assert doc["rank_bound"] == rank_bound(bp((1, 1), (2,)), 4)
     assert any(m["applicable"] for m in doc["monomials"])
-    empty = detection_report(parse_polynomial("x1^2*x2*x3", 3), 3)
-    assert empty["maximal_gamma_star"] == [] and empty["rank_bound"] is None
+    assert detection_report(parse_polynomial("x1^2*x2*x3", 3), 3) == {
+        "polynomial": "x1^2*x2*x3",
+        "n": 3,
+        "monomials": [{"monomial": "x1^2*x2*x3", "applicable": False}],
+        "maximal_gamma_star": [],
+        "excluded_classes": [],
+        "rank_bound": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    # the last polynomial's label ((3),(1,1)) is not maximal
+    [("x2*x3*(x1^2 - 1)", 4), ("x1^2*x2^2*x3*x4 - x5*x6", 8), ("x1^2*x2 + x1*x2*x3 + x3^3", 5)],
+)
+def test_detection_report_runs_the_detection_once(monkeypatch, text, n):
+    P = parse_polynomial(text, n)
+    maxima = maximal_detected(P, n)
+    calls = []
+    original = invariants.detect_specht_subideal
+    monkeypatch.setattr(
+        invariants, "detect_specht_subideal", lambda *args: calls.append(args) or original(*args)
+    )
+    doc = detection_report(P, n)
+    assert len(calls) == 1
+    assert doc["maximal_gamma_star"] == [str(g) for g in maxima]
+    assert doc["excluded_classes"] == [str(c) for c in excluded_orbit_classes(P, n)]
+    assert doc["rank_bound"] == min(rank_bound(g, n) for g in maxima)
 
 
 def test_symmetrization_identity_examples():

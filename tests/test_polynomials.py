@@ -215,8 +215,45 @@ def test_json_terms_are_deterministic():
     ]
 
 
+def _reference_order_key(tag):
+    """Test-only reference: the nested sort key of each order, written out
+    independently of `_descending_key`. Larger key = larger monomial."""
+    base, _, suffix = tag.partition("-")
+    assert base in ("lex", "deglex", "degrevlex") and suffix in ("", "rev")
+
+    def key(exps):
+        e = tuple(reversed(exps)) if suffix == "rev" else exps
+        if base == "lex":
+            return e
+        if base == "deglex":
+            return (sum(e), e)
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    return key
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2, max_size=12, unique=True))
 def test_descending_key_reverses_order_key(exps):
     for tag in ORDER_TAGS:
-        expected = sorted(exps, key=order_key(tag), reverse=True)
+        reference = _reference_order_key(tag)
+        expected = sorted(exps, key=reference, reverse=True)
         assert sorted(exps, key=_descending_key(tag)) == expected, tag
+        assert sorted(exps, key=order_key(tag), reverse=True) == expected, tag
+        lead = SparsePolynomial(3, {e: Fraction(1) for e in exps}).leading_exponents(tag)
+        assert lead == expected[0], tag
+
+
+def test_order_keys_match_reference_on_every_pair():
+    # all exponent tuples of 3 variables with entries 0..2, every ordered pair
+    exps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    for tag in ORDER_TAGS:
+        reference, key, descending = _reference_order_key(tag), order_key(tag), _descending_key(tag)
+        for u in exps:
+            for v in exps:
+                want = _cmp(reference(u), reference(v))
+                assert _cmp(key(u), key(v)) == want, (tag, u, v)
+                assert _cmp(descending(v), descending(u)) == want, (tag, u, v)
