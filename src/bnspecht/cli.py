@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import DEFAULT_LIMITS, BnSpechtError, ResourceLimitExceeded, ResourceLimits
 from .groebner import (
@@ -40,9 +41,7 @@ def _limits(args) -> ResourceLimits:
 
 def _cmd_poset(args) -> dict | str:
     diagram = hasse_diagram(args.n)
-    if args.dot:
-        return diagram.to_dot()
-    return json.loads(diagram.to_json())
+    return diagram.to_dot() if args.dot else diagram.to_json()
 
 
 def _cmd_order(args) -> dict:
@@ -102,7 +101,10 @@ def _cmd_variety(args) -> dict:
 
 
 def _cmd_orbit_type(args) -> dict:
-    coords = tuple(Fraction(piece.strip()) for piece in args.point.split(","))
+    try:
+        coords = tuple(Fraction(piece.strip()) for piece in args.point.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"point {args.point!r} has a zero denominator") from None
     return {
         "point": [str(c) for c in coords],
         "sn_type": str(sn_orbit_type(coords)),
@@ -132,6 +134,7 @@ def _cmd_rank_bound(args) -> dict:
     return {"shape": str(shape), "n": args.n, "rank_bound": rank_bound(shape, args.n)}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bnspecht")
     common = argparse.ArgumentParser(add_help=False)
@@ -201,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = args.func(args)
     except ResourceLimitExceeded as exc:

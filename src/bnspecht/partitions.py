@@ -1,15 +1,15 @@
 """Partitions, bipartitions, the bidominance order and its Hasse diagram.
 
 Partitions are kept in canonical form (non-increasing, no trailing zeros)
-and indexed 1-based with zero padding beyond their length, so prefix-sum
-conditions can be written exactly as in the combinatorial definitions.
+and indexed 1-based with zero padding beyond their length. Dominance,
+bidominance and the Hecke order all compare prefix sums in `_dominated`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
+from itertools import zip_longest
 
 from .errors import ParseError, SizeMismatchError
 
@@ -45,9 +45,6 @@ class Partition:
             raise IndexError("partition rows are 1-based")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def prefix_sum(self, k: int) -> int:
-        return sum(self.parts[: max(k, 0)])
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -77,6 +74,11 @@ class Bipartition:
     @property
     def size(self) -> int:
         return self.left.size + self.right.size
+
+    @cached_property
+    def interleaved(self) -> tuple[int, ...]:
+        """The rows (left_1, right_1, left_2, right_2, ...), zero-padded to equal length."""
+        return tuple(x for pair in zip_longest(self.left, self.right, fillvalue=0) for x in pair)
 
     def sort_key(self):
         """Deterministic vertex order: |left| descending, then lex on parts."""
@@ -153,17 +155,26 @@ def parse_bipartition(text: str) -> Bipartition:
 # orders on partitions
 
 
-def dominates(p: Partition, q: Partition) -> bool:
-    """True iff p dominates q (all prefix sums of q bounded by those of p)."""
-    if p.size != q.size:
-        raise SizeMismatchError(f"|{p}| = {p.size} != |{q}| = {q.size}")
-    sp = sq = 0
-    for k in range(max(p.length, q.length)):
-        sp += p.at(k + 1)
-        sq += q.at(k + 1)
-        if sq > sp:
+def _dominated(low, high) -> bool:
+    """True iff every prefix sum of `low` is at most that of `high`, both zero-padded."""
+    slack = 0
+    for lo, hi in zip_longest(low, high, fillvalue=0):
+        slack += hi - lo
+        if slack < 0:
             return False
     return True
+
+
+def _same_size(a, b) -> None:
+    """Raise SizeMismatchError unless the two (bi)partitions have the same size."""
+    if a.size != b.size:
+        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
+
+
+def dominates(p: Partition, q: Partition) -> bool:
+    """True iff p dominates q (all prefix sums of q bounded by those of p)."""
+    _same_size(p, q)
+    return _dominated(q.parts, p.parts)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -192,10 +203,7 @@ def cut(p: Partition, t: int) -> Bipartition:
     """Slice the diagram of p at column threshold t."""
     if t < 0:
         raise ValueError("cut threshold must be non-negative")
-    if t == 0:
-        j = p.length + 1
-    else:
-        j = next((i for i in range(1, p.length + 1) if p.at(i) < t), p.length + 1)
+    j = next((i for i in range(1, p.length + 1) if p.at(i) < t), p.length + 1)
     rho = (t,) * (j - 1) + p.parts[j - 1 :]
     sigma = tuple(p.at(i) - t for i in range(1, j))
     return Bipartition(Partition(rho), Partition(sigma))
@@ -239,38 +247,22 @@ def is_cm_shape(p: Partition) -> bool:
 
 
 def bidominates(a: Bipartition, b: Bipartition) -> bool:
-    """True iff a bidominates b (two interleaved families of prefix sums)."""
-    if a.size != b.size:
-        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
-    kmax = max(a.left.length, a.right.length, b.left.length, b.right.length) + 1
-    sa = sb = 0
-    for k in range(1, kmax + 1):
-        if sb + b.left.at(k) > sa + a.left.at(k):
-            return False
-        sa += a.left.at(k) + a.right.at(k)
-        sb += b.left.at(k) + b.right.at(k)
-        if sb > sa:
-            return False
-    return True
+    """True iff a bidominates b, that is, a's interleaved rows dominate b's."""
+    _same_size(a, b)
+    return _dominated(b.interleaved, a.interleaved)
 
 
 def hecke_leq(a: Bipartition, b: Bipartition) -> bool:
     """a below b in the Hecke-algebra order: left prefix sums, then shifted right ones."""
-    if a.size != b.size:
-        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
-    kmax = max(a.left.length, b.left.length, a.right.length, b.right.length)
-    for k in range(1, kmax + 1):
-        if a.left.prefix_sum(k) > b.left.prefix_sum(k):
-            return False
-        if a.left.size + a.right.prefix_sum(k) > b.left.size + b.right.prefix_sum(k):
-            return False
-    return True
+    _same_size(a, b)
+    width = max(a.left.length, b.left.length)  # the left rows, padded to a common length
+    low, high = (x.left.parts + (0,) * (width - x.left.length) + x.right.parts for x in (a, b))
+    return _dominated(low, high)
 
 
 def induced_leq(a: Bipartition, b: Bipartition) -> bool:
     """a below b in the induced-representation order."""
-    if a.size != b.size:
-        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
+    _same_size(a, b)
     if a.left.size < b.left.size:
         return True
     if a.left.size != b.left.size:
@@ -428,15 +420,14 @@ class HasseDiagram:
 
         return chains_from(top)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "n": self.n,
             "vertices": [
                 {"left": list(v.left.parts), "right": list(v.right.parts)} for v in self.vertices
             ],
             "edges": [list(e) for e in self.edges],
         }
-        return json.dumps(doc, indent=2)
 
     def to_dot(self) -> str:
         lines = ["digraph bidominance {", "  rankdir=TB;"]

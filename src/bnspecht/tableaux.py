@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
-from .partitions import Bipartition, Partition, glue
+from .partitions import Bipartition, Partition, conjugate, glue
 from .polynomials import SparsePolynomial, _column_expansion
 
 
@@ -209,16 +210,12 @@ def specht_generators(
 # standard fillings
 
 
+@cache
 def num_standard_tableaux(p: Partition) -> int:
     """Hook-length formula."""
-    if not p.parts:
-        return 1
-    conj = [sum(1 for part in p.parts if part > j) for j in range(p.parts[0])]
-    product = 1
-    for i, part in enumerate(p.parts):
-        for j in range(part):
-            product *= part - j + conj[j] - i - 1
-    return factorial(p.size) // product
+    conj = conjugate(p).parts
+    hooks = (part - j + conj[j] - i - 1 for i, part in enumerate(p.parts) for j in range(part))
+    return factorial(p.size) // prod(hooks)
 
 
 def num_standard_bitableaux(shape: Bipartition) -> int:

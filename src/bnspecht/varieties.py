@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import EmptyOrbitError, SizeMismatchError
 from .partitions import (
@@ -13,7 +14,7 @@ from .partitions import (
     bidominates,
     concatenate,
     cut,
-    enumerate_bipartitions,
+    enumerate_partitions,
     glue,
 )
 from .tableaux import specht_generators
@@ -93,12 +94,19 @@ def variety_contains(shape: Bipartition, z, strategy: str = "orbit") -> bool:
     raise ValueError(f"unknown strategy {strategy!r}; choose 'orbit' or 'evaluate'")
 
 
+@cache
+def _nonempty_classes(n: int) -> tuple[Bipartition, ...]:
+    """The nonempty classes of size n, each `phi(t, residual)` once, in vertex order."""
+    classes = (phi(t, residual) for t in range(n + 1) for residual in enumerate_partitions(n - t))
+    return tuple(sorted(classes, key=Bipartition.sort_key))
+
+
 def decompose_variety(shape: Bipartition) -> list[OrbitClass]:
     """Nonempty orbit classes whose type is not bidominated by the shape."""
     return [
         OrbitClass(other, True)
-        for other in enumerate_bipartitions(shape.size)
-        if orbit_set_nonempty(other) and not bidominates(shape, other)
+        for other in _nonempty_classes(shape.size)
+        if not bidominates(shape, other)
     ]
 
 

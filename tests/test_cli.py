@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bnspecht.cli import EXIT_OK, EXIT_REJECTED, EXIT_RESOURCE, run
+from bnspecht.cli import EXIT_OK, EXIT_REJECTED, EXIT_RESOURCE, build_parser, run
 from bnspecht.partitions import parse_bipartition
 
 
@@ -155,6 +155,44 @@ def test_rejected_input_exit_code(capsys):
     assert code == EXIT_REJECTED
     code, out = invoke(capsys, "gamma", "--poly", "x1 +", "--n", "2")
     assert code == EXIT_REJECTED
+
+
+@pytest.mark.parametrize("point", ["1/0", "2,-1/0,0", "0/0"])
+def test_orbit_type_rejects_a_zero_denominator(capsys, point):
+    code, out = invoke(capsys, "orbit-type", "--point", point)
+    assert code == EXIT_REJECTED
+    doc = json.loads(out)
+    assert doc["status"] == "rejected-input" and "zero denominator" in doc["error"]
+
+
+SPECHT_111 = ("specht", "--shape", "((1,1,1),())", "--n", "3")
+IDEAL_INC = ("ideal-inc", "--a", "((1,1),(2))", "--b", "((),(4))", "--n", "4")
+BACK_TO_BACK = [
+    (SPECHT_111 + ("--max-terms", "1"), EXIT_RESOURCE),
+    (SPECHT_111, EXIT_OK),
+    (SPECHT_111 + ("--all",), EXIT_OK),
+    (SPECHT_111, EXIT_OK),
+    (IDEAL_INC + ("--max-basis", "2"), EXIT_RESOURCE),
+    (IDEAL_INC, EXIT_OK),
+    (("order", "--a", "((2),())", "--b", "((1),(1))", "--relation", "hecke"), EXIT_OK),
+    (("order", "--a", "((2),())", "--b", "((1),(1))"), EXIT_OK),
+    (("poset", "--n", "2", "--dot"), EXIT_OK),
+    (("poset", "--n", "2"), EXIT_OK),
+    (("orbit-type", "--point", "1/0"), EXIT_REJECTED),
+    (("orbit-type", "--point", "2,-2,0"), EXIT_OK),
+]
+
+
+def test_back_to_back_runs_print_what_fresh_runs_print(capsys):
+    fresh = []
+    for argv, _ in BACK_TO_BACK:
+        build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    build_parser.cache_clear()
+    for (argv, code), expected in zip(BACK_TO_BACK, fresh):
+        got = invoke(capsys, *argv)
+        assert got == expected and got[0] == code, argv
+    assert build_parser.cache_info().misses == 1
 
 
 def test_resource_exit_code(capsys):

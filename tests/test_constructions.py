@@ -7,8 +7,9 @@ rebuild the same polynomials the slow way: Vandermondes as products of
 binomials, generators from all n! relabellings of the reference bitableau,
 chain lengths by walking every maximal chain, alternating sums as explicit
 signed sums of relabelled copies, orbits by acting with all 2^n n!
-signed permutations, enumerations of BP_n by sorting, and inclusion steps
-by reducing every generator of the smaller ideal.
+signed permutations, enumerations of BP_n by sorting, inclusion steps
+by reducing every generator of the smaller ideal, the three orders by
+row-by-row prefix sums, and the nonempty orbit classes by filtering BP_n.
 """
 
 import itertools
@@ -17,8 +18,13 @@ import time
 import pytest
 
 from bnspecht.cli import EXIT_RESOURCE, run
-from bnspecht.errors import AmbientMismatchError, ResourceLimitExceeded, ResourceLimits
-from bnspecht import partitions
+from bnspecht.errors import (
+    AmbientMismatchError,
+    ResourceLimitExceeded,
+    ResourceLimits,
+    SizeMismatchError,
+)
+from bnspecht import partitions, varieties
 from bnspecht.groebner import (
     ideal_contains,
     inclusion_by_certificates,
@@ -30,9 +36,11 @@ from bnspecht.partitions import (
     Partition,
     bidominates,
     bp,
+    dominates,
     enumerate_bipartitions,
     enumerate_partitions,
     hasse_diagram,
+    hecke_leq,
 )
 from bnspecht.invariants import bn_orbit
 from bnspecht.polynomials import (
@@ -52,6 +60,7 @@ from bnspecht.tableaux import (
     specht_polynomial_bn,
     specht_polynomial_sn,
 )
+from bnspecht.varieties import OrbitClass, decompose_variety, orbit_set_nonempty
 
 SHAPES_UP_TO_6 = [(s, n) for n in range(1, 7) for s in enumerate_bipartitions(n)]
 
@@ -154,6 +163,53 @@ def sorted_bipartitions(n):
     return sorted(out, key=Bipartition.sort_key)
 
 
+def row_dominates(p, q):
+    if p.size != q.size:
+        raise SizeMismatchError(f"|{p}| = {p.size} != |{q}| = {q.size}")
+    sp = sq = 0
+    for k in range(max(p.length, q.length)):
+        sp += p.at(k + 1)
+        sq += q.at(k + 1)
+        if sq > sp:
+            return False
+    return True
+
+
+def row_bidominates(a, b):
+    if a.size != b.size:
+        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
+    kmax = max(a.left.length, a.right.length, b.left.length, b.right.length) + 1
+    sa = sb = 0
+    for k in range(1, kmax + 1):
+        if sb + b.left.at(k) > sa + a.left.at(k):
+            return False
+        sa += a.left.at(k) + a.right.at(k)
+        sb += b.left.at(k) + b.right.at(k)
+        if sb > sa:
+            return False
+    return True
+
+
+def row_hecke_leq(a, b):
+    if a.size != b.size:
+        raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
+
+    def prefix_sum(p, k):
+        return sum(p.parts[:k])
+
+    kmax = max(a.left.length, b.left.length, a.right.length, b.right.length)
+    for k in range(1, kmax + 1):
+        if prefix_sum(a.left, k) > prefix_sum(b.left, k):
+            return False
+        if a.left.size + prefix_sum(a.right, k) > b.left.size + prefix_sum(b.right, k):
+            return False
+    return True
+
+
+def filtered_classes(n):
+    return [s for s in enumerate_bipartitions(n) if orbit_set_nonempty(s)]
+
+
 def all_generator_steps(chain, n):
     """Each covering step decided by reducing every generator of the lower shape."""
     return tuple(
@@ -166,6 +222,56 @@ def all_generator_steps(chain, n):
 def test_enumerations_match_the_sorted_references(n):
     assert enumerate_partitions(n) == sorted_partitions(n)
     assert enumerate_bipartitions(n) == sorted_bipartitions(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bipartition_orders_match_the_row_references(n):
+    shapes = enumerate_bipartitions(n)
+    for a, b in itertools.product(shapes, repeat=2):
+        assert bidominates(a, b) == row_bidominates(a, b), (a, b)
+        assert hecke_leq(a, b) == row_hecke_leq(a, b), (a, b)
+
+
+def test_dominance_matches_the_row_reference():
+    for n in range(11):
+        for p, q in itertools.product(enumerate_partitions(n), repeat=2):
+            assert dominates(p, q) == row_dominates(p, q), (p, q)
+
+
+def test_interleaved_rows_alternate_the_components():
+    assert bp((3, 1, 1), (2,)).interleaved == (3, 2, 1, 0, 1, 0)
+    assert bp((), (2, 2)).interleaved == (0, 2, 0, 2)
+    assert bp((), ()).interleaved == ()
+
+
+def test_orders_reject_mismatched_sizes_as_the_references_do():
+    pairs = [
+        (dominates, row_dominates, Partition((2,)), Partition((1, 1, 1))),
+        (bidominates, row_bidominates, bp((1,), (1,)), bp((2,), (1,))),
+        (hecke_leq, row_hecke_leq, bp((), (3,)), bp((1,), ())),
+    ]
+    for order, reference, a, b in pairs:
+        with pytest.raises(SizeMismatchError) as got:
+            order(a, b)
+        with pytest.raises(SizeMismatchError) as expected:
+            reference(a, b)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_nonempty_classes_match_the_filtered_vertices(n):
+    assert varieties._nonempty_classes(n) == tuple(filtered_classes(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_decompositions_match_the_filtered_reference(n, monkeypatch):
+    expected = {
+        shape: [OrbitClass(o, True) for o in filtered_classes(n) if not row_bidominates(shape, o)]
+        for shape in enumerate_bipartitions(n)
+    }
+    monkeypatch.setattr(varieties, "orbit_set_nonempty", None)  # not called on this route
+    for shape, classes in expected.items():
+        assert decompose_variety(shape) == classes, shape
 
 
 def test_bipartition_enumeration_builds_each_size_once(monkeypatch):
