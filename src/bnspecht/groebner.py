@@ -21,6 +21,7 @@ from .polynomials import (
     _alternating_sum,
     _column_expansion,
     _descending_key,
+    _exact_quotient,
     order_key,
     vandermonde_squares,
 )
@@ -44,7 +45,9 @@ class GroebnerBasis:
 
 
 def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
-    """Normal form of p modulo the basis."""
+    """Normal form of p modulo the basis; p itself modulo the zero ideal (no generators)."""
+    if not gb.generators:
+        return p
     if p.n != gb.n:
         raise AmbientMismatchError(f"polynomial in {p.n} variables, basis in {gb.n}")
     basis = [g for g in gb.generators if not g.is_zero]
@@ -80,7 +83,7 @@ def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynom
         for lead, g in divisors:
             if all(map(ge, exps, lead)):
                 quot = tuple(map(sub, exps, lead))
-                factor = coeff / g.terms[lead]
+                factor = _exact_quotient(coeff, g.terms[lead])
                 for e, c in g.terms.items():
                     if e == lead:
                         continue
@@ -108,7 +111,7 @@ def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> Spars
     terms: dict = {}
     for h, lead, sign in ((f, lf, 1), (g, lg, -1)):
         shift = tuple(map(sub, lcm, lead))
-        factor = sign / h.terms[lead]
+        factor = _exact_quotient(sign, h.terms[lead])
         for e, c in h.terms.items():
             if e != lead:
                 target = tuple(map(add, shift, e))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 from .errors import DEFAULT_LIMITS, NoConclusionError, NotApplicableError, ResourceLimits
@@ -133,15 +134,17 @@ def _below_any(maxima, n: int) -> list[Bipartition]:
     ]
 
 
+@cache
+def _weighted_vertices(n: int) -> tuple[tuple[Bipartition, int], ...]:
+    """Each bipartition of n with its squared standard-filling count, in vertex order."""
+    return tuple((b, num_standard_bitableaux(b) ** 2) for b in enumerate_bipartitions(n))
+
+
 def rank_bound(shape: Bipartition, n: int) -> int:
     """Sum of squared standard-filling counts over classes the shape fails to bidominate."""
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
-    return sum(
-        num_standard_bitableaux(other) ** 2
-        for other in enumerate_bipartitions(n)
-        if not bidominates(shape, other)
-    )
+    return sum(weight for other, weight in _weighted_vertices(n) if not bidominates(shape, other))
 
 
 def detection_report(P: SparsePolynomial, n: int) -> dict:

@@ -218,9 +218,10 @@ def partition_coverings_below(p: Partition) -> list[Partition]:
     """
     found = set()
     m = p.length
+    rows = [*p.parts, 0]
     for i in range(1, m + 1):
         for j in range(i + 1, m + 2):
-            parts = [p.at(r) for r in range(1, max(m, j) + 1)]
+            parts = rows[: max(m, j)]
             parts[i - 1] -= 1
             parts[j - 1] += 1
             if any(parts[r] < parts[r + 1] for r in range(len(parts) - 1)):

@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Terms are dicts mapping exponent tuples (length = ambient variable count)
-to nonzero Fractions. Variables are 1-based in the external notation
+to nonzero coefficients: an int when the value is integral, a Fraction
+otherwise (see `_normalize`). Variables are 1-based in the external notation
 (x1, x2, ...) and lex always means x1 > x2 > ... > xn unless an order tag
 says otherwise.
 """
@@ -17,6 +18,25 @@ from operator import add
 from .errors import AmbientMismatchError, ParseError
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
+
+
+def _normalize(value) -> Coefficient:
+    """value exactly, as an int when it is integral and as a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b exactly: a // b when b divides a, else a normalised Fraction.
+
+    Plain int / int is a float, which must never become a coefficient.
+    """
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _normalize(Fraction(a, b))
 
 
 @dataclass(frozen=True)
@@ -92,16 +112,16 @@ def order_key(tag: str):
 
 
 class SparsePolynomial:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with exact rational coefficients, each an int or a Fraction."""
 
     __slots__ = ("n", "terms", "_hash", "_leads")
 
-    def __init__(self, n: int, terms: dict[Exponents, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[Exponents, Coefficient] | None = None):
         self.n = n
         clean = {}
         for exps, coeff in (terms or {}).items():
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _normalize(coeff)
             if coeff:
                 if len(exps) != n:
                     raise AmbientMismatchError(f"exponent tuple {exps} does not match n={n}")
@@ -118,13 +138,13 @@ class SparsePolynomial:
 
     @staticmethod
     def constant(n: int, value) -> "SparsePolynomial":
-        return SparsePolynomial(n, {(0,) * n: Fraction(value)})
+        return SparsePolynomial(n, {(0,) * n: value})
 
     @staticmethod
     def variable(n: int, i: int, power: int = 1) -> "SparsePolynomial":
         _check_index(n, i)
         exps = tuple(power if j == i - 1 else 0 for j in range(n))
-        return SparsePolynomial(n, {exps: Fraction(1)})
+        return SparsePolynomial(n, {exps: 1})
 
     # -- ring structure ------------------------------------------------------
 
@@ -160,7 +180,7 @@ class SparsePolynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coefficient] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
@@ -174,7 +194,7 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def scale(self, value) -> "SparsePolynomial":
-        value = Fraction(value)
+        value = _normalize(value)
         return SparsePolynomial(self.n, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
@@ -228,13 +248,13 @@ class SparsePolynomial:
         lead = leads[tag] = min(self.terms, key=_descending_key(tag))
         return lead
 
-    def leading_coefficient(self, tag: str = "lex") -> Fraction:
+    def leading_coefficient(self, tag: str = "lex") -> Coefficient:
         return self.terms[self.leading_exponents(tag)]
 
     def monic(self, tag: str = "lex") -> "SparsePolynomial":
         if not self.terms:
             return self
-        return self.scale(1 / self.leading_coefficient(tag))
+        return self.scale(_exact_quotient(1, self.leading_coefficient(tag)))
 
     def sign_normalized(self) -> "SparsePolynomial":
         """Positive lex-leading coefficient; canonical representative of {p, -p}."""
@@ -247,8 +267,8 @@ class SparsePolynomial:
         d = self.degree
         return SparsePolynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> Coefficient:
+        return self.terms.get(tuple(exps), 0)
 
     def variables(self) -> set[int]:
         """1-based indices of variables actually appearing."""
@@ -314,9 +334,6 @@ class SparsePolynomial:
 # named constructions
 
 
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
 def _permutation_sign(domain, image) -> int:
     """Sign of the permutation sending domain[i] to image[i] (same entries)."""
     position = {v: i for i, v in enumerate(domain)}
@@ -342,7 +359,7 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     A column (c_1, ..., c_h) is the Vandermonde determinant
     sum_sigma sgn(sigma) prod_a x_{c_sigma(a)}^(step*(h-a)). The columns use
     disjoint variables, so their product is a sum over the column group
-    prod S_h whose prod h! terms are distinct monomials with coefficient +-1,
+    prod S_h whose prod h! terms are distinct monomials with int coefficient +-1,
     built here without any polynomial multiplication.
     """
     flat = [i for col in columns for i in col]
@@ -367,7 +384,7 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
                 delta[i - 1] = e
             shifts.append((tuple(delta), sign))
         terms = [(tuple(map(add, e, d)), s * t) for e, s in terms for d, t in shifts]
-    return SparsePolynomial(n, {e: _ONE if s > 0 else _MINUS_ONE for e, s in terms})
+    return SparsePolynomial(n, dict(terms))
 
 
 def _check_index(n: int, i: int):
@@ -446,7 +463,7 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
     """Ring homomorphism sending x_i to signs[perm(i)] * x_{perm(i)}."""
     if g.n != p.n:
         raise AmbientMismatchError("group element and polynomial rank differ")
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Coefficient] = {}
     for exps, coeff in p.terms.items():
         new = [0] * p.n
         sign = 1
@@ -471,7 +488,7 @@ def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
     sigma sends domain[k] to image[k] for every k and fixes every other
     variable; each image must be a rearrangement of domain.
     """
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Coefficient] = {}
     for image in images:
         perm = list(range(1, p.n + 1))
         for src, dst in zip(domain, image):

@@ -9,13 +9,24 @@ chain lengths by walking every maximal chain, alternating sums as explicit
 signed sums of relabelled copies, orbits by acting with all 2^n n!
 signed permutations, enumerations of BP_n by sorting, inclusion steps
 by reducing every generator of the smaller ideal, the three orders by
-row-by-row prefix sums, and the nonempty orbit classes by filtering BP_n.
+row-by-row prefix sums, the nonempty orbit classes by filtering BP_n, the
+rank bound by enumerating BP_n on every call, and dominance coverings by
+reading rows through `Partition.at`.
+
+Coefficients are ints where they are integral. `fraction_only` replays the
+route that made every coefficient a Fraction, and the constructors and the
+reduced Specht bases must agree with it exactly.
 """
 
+import contextlib
 import itertools
+import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnspecht.cli import EXIT_RESOURCE, run
 from bnspecht.errors import (
@@ -24,8 +35,13 @@ from bnspecht.errors import (
     ResourceLimits,
     SizeMismatchError,
 )
-from bnspecht import partitions, varieties
+from bnspecht import invariants, partitions, polynomials, varieties
 from bnspecht.groebner import (
+    CoveringCertificate,
+    GroebnerBasis,
+    _normal_form,
+    _s_polynomial,
+    covering_certificate,
     ideal_contains,
     inclusion_by_certificates,
     specht_ideal_basis,
@@ -41,9 +57,11 @@ from bnspecht.partitions import (
     enumerate_partitions,
     hasse_diagram,
     hecke_leq,
+    partition_coverings_below,
 )
-from bnspecht.invariants import bn_orbit
+from bnspecht.invariants import bn_orbit, rank_bound
 from bnspecht.polynomials import (
+    ORDER_TAGS,
     SignedPermutation,
     SparsePolynomial,
     _alternating_sum,
@@ -55,6 +73,7 @@ from bnspecht.polynomials import (
 )
 from bnspecht.tableaux import (
     glue_bitableau,
+    num_standard_bitableaux,
     reference_bitableau,
     specht_generators,
     specht_polynomial_bn,
@@ -208,6 +227,34 @@ def row_hecke_leq(a, b):
 
 def filtered_classes(n):
     return [s for s in enumerate_bipartitions(n) if orbit_set_nonempty(s)]
+
+
+def enumerating_rank_bound(shape, n):
+    """rank_bound enumerating BP_n and building its vertices anew on every call."""
+    if shape.size != n:
+        raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
+    return sum(
+        num_standard_bitableaux(other) ** 2
+        for other in enumerate_bipartitions(n)
+        if not bidominates(shape, other)
+    )
+
+
+def at_coverings_below(p):
+    """partition_coverings_below, padding the rows through `Partition.at` per candidate."""
+    found = set()
+    m = p.length
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 2):
+            parts = [p.at(r) for r in range(1, max(m, j) + 1)]
+            parts[i - 1] -= 1
+            parts[j - 1] += 1
+            if any(parts[r] < parts[r + 1] for r in range(len(parts) - 1)):
+                continue
+            if not (j == i + 1 or parts[i - 1] == parts[j - 1]):
+                continue
+            found.add(Partition(tuple(parts)))
+    return sorted(found, key=lambda q: q.parts)
 
 
 def all_generator_steps(chain, n):
@@ -425,3 +472,195 @@ ORBIT_CASES = [
 def test_bn_orbit_matches_the_group_walk(text, n):
     p = parse_polynomial(text, n)
     assert bn_orbit(p) == walked_orbit(p)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rank_bound_matches_the_enumerating_reference(n):
+    for shape in enumerate_bipartitions(n):
+        assert rank_bound(shape, n) == enumerating_rank_bound(shape, n), shape
+
+
+def test_rank_bound_enumerates_once_per_n(monkeypatch):
+    invariants._weighted_vertices.cache_clear()
+    calls = []
+    original = invariants.enumerate_bipartitions
+    monkeypatch.setattr(
+        invariants, "enumerate_bipartitions", lambda n: calls.append(n) or original(n)
+    )
+    for shape in enumerate_bipartitions(6):
+        rank_bound(shape, 6)
+    assert calls == [6]
+
+
+def test_partition_coverings_match_the_at_reference():
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            assert partition_coverings_below(p) == at_coverings_below(p), p
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients against the Fraction-only route
+
+
+def fraction_only_init(self, n, terms=None):
+    """The constructor of the Fraction-only route: every coefficient becomes a Fraction."""
+    self.n = n
+    clean = {}
+    for exps, coeff in (terms or {}).items():
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if coeff:
+            if len(exps) != n:
+                raise AmbientMismatchError(f"exponent tuple {exps} does not match n={n}")
+            clean[exps] = coeff
+    self.terms = clean
+    self._hash = None
+    self._leads = None
+
+
+def fraction_quotient(a, b):
+    return Fraction(a) / b
+
+
+@contextlib.contextmanager
+def fraction_only():
+    """Inside the block, every coefficient and every quotient is a Fraction.
+
+    Both coefficient helpers are replaced in every bnspecht module that binds
+    them, and the constructor wraps every coefficient, the +-1 ints of the
+    column expansion included, as the route before integer coefficients did.
+    A context manager rather than a pytest fixture, so one test (or one
+    hypothesis example) can build the same thing in both modes.
+    """
+    replacements = [
+        ("_normalize", polynomials._normalize, Fraction),
+        ("_exact_quotient", polynomials._exact_quotient, fraction_quotient),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "bnspecht":
+                continue
+            for attr, original, replacement in replacements:
+                if getattr(module, attr, None) is original:
+                    mp.setattr(module, attr, replacement)
+                    patched.add((name, attr))
+        assert ("bnspecht.polynomials", "_normalize") in patched
+        assert ("bnspecht.groebner", "_exact_quotient") in patched
+        mp.setattr(SparsePolynomial, "__init__", fraction_only_init)
+        yield
+
+
+def coefficients(obj):
+    """Every coefficient of every polynomial inside obj."""
+    if isinstance(obj, SparsePolynomial):
+        return list(obj.terms.values())
+    if isinstance(obj, GroebnerBasis):
+        return coefficients(obj.generators)
+    if isinstance(obj, CoveringCertificate):
+        return coefficients((obj.target, obj.symmetrized))
+    return [c for item in obj for c in coefficients(item)]
+
+
+def assert_matches_fraction_route(build, integral=True):
+    """build() must equal its Fraction-only replay, with ints where integral.
+
+    Equal ints and Fractions compare equal, so without the type checks the
+    comparison could not tell the two routes apart.
+    """
+    fast = build()
+    with fraction_only():
+        reference = build()
+    assert fast == reference
+    assert all(type(c) is Fraction for c in coefficients(reference))
+    for c in coefficients(fast):
+        assert type(c) is int or (not integral and type(c) is Fraction and c.denominator > 1), c
+    return fast
+
+
+SHAPES_UP_TO_5 = [(s, n) for s, n in SHAPES_UP_TO_6 if n <= 5]
+
+
+@pytest.mark.parametrize("shape,n", SHAPES_UP_TO_5, ids=str)
+def test_constructors_match_the_fraction_route(shape, n):
+    bt = reference_bitableau(shape, n)
+    head = tuple(range(1, min(n, 3) + 1))
+    images = list(itertools.permutations(head))
+    shift = SignedPermutation(
+        (*range(2, n + 1), 1), tuple(-1 if i % 2 == 0 else 1 for i in range(n))
+    )
+    assert assert_matches_fraction_route(lambda: specht_polynomial_bn(bt))
+    assert assert_matches_fraction_route(lambda: specht_generators(shape, n))
+    assert_matches_fraction_route(lambda: act(shift, specht_polynomial_bn(bt)))
+    for subset in (images, images[::2]):
+        assert_matches_fraction_route(
+            lambda: _alternating_sum(specht_polynomial_bn(bt), head, subset)
+        )
+    assert_matches_fraction_route(lambda: bn_orbit(specht_polynomial_bn(bt)))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_vandermondes_match_the_fraction_route(k):
+    for subset in itertools.combinations(range(1, 6), k):
+        for indices in (subset, subset[::-1]):
+            assert_matches_fraction_route(lambda: vandermonde(5, indices))
+            assert_matches_fraction_route(lambda: vandermonde_squares(5, indices))
+
+
+CERTIFICATE_CASES = [
+    (case, a, b)
+    for case in (3, 4)
+    for a in range(1, 6)
+    for b in range(3)
+    if a + 2 * b + (case == 4) <= 5
+]
+
+
+@pytest.mark.parametrize("case,a,b", CERTIFICATE_CASES)
+def test_covering_certificates_match_the_fraction_route(case, a, b):
+    assert assert_matches_fraction_route(lambda: covering_certificate(case, a, b)).verified
+
+
+@pytest.mark.parametrize("shape,n", SHAPES_UP_TO_5, ids=str)
+def test_reduced_specht_bases_match_the_fraction_route(shape, n):
+    for order in ("lex", "degrevlex"):
+        assert_matches_fraction_route(lambda: specht_ideal_basis(shape, n, order))
+
+
+def term_dicts(min_size=0):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 2),
+        st.integers(-6, 6).filter(bool),
+        min_size=min_size,
+        max_size=5,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    term_dicts(),
+    st.lists(term_dicts(min_size=1), min_size=1, max_size=3),
+    st.sampled_from(ORDER_TAGS),
+)
+@example({(2, 0): 1}, [{(1, 0): 3, (0, 0): -1}], "lex")
+@example({(1, 1): 1}, [{(1, 0): 2, (0, 0): 1}, {(0, 1): 3, (0, 0): 2}], "degrevlex")
+def test_normal_form_and_monic_match_the_fraction_route(p, basis, order):
+    def build():
+        gens = [SparsePolynomial(2, d) for d in basis]
+        leads = [g.leading_exponents(order) for g in gens]
+        return (
+            _normal_form(SparsePolynomial(2, p), gens, leads, order),
+            [g.monic(order) for g in gens],
+            [_s_polynomial(f, g, order) for f, g in itertools.combinations(gens, 2)],
+        )
+
+    assert_matches_fraction_route(build, integral=False)
+
+
+def test_non_integral_quotients_stay_exact():
+    monic = parse_polynomial("2*x1 + 1", 1).monic()
+    assert monic.terms == {(1,): 1, (0,): Fraction(1, 2)}
+    assert [type(c) for c in monic.terms.values()] == [int, Fraction]
+    basis = [parse_polynomial("3*x1 - 1", 1)]
+    remainder = _normal_form(parse_polynomial("x1^2", 1), basis, [(1,)], "lex")
+    assert remainder.terms == {(0,): Fraction(1, 9)}

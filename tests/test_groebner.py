@@ -71,6 +71,18 @@ def test_reduce_examples():
         reduce(p("x1", 3), gb)
 
 
+@pytest.mark.parametrize("gens", [[], [SparsePolynomial.zero(2)]], ids=["no-gens", "zero"])
+def test_empty_basis_is_the_zero_ideal(gens):
+    gb = buchberger(gens)
+    assert gb.generators == ()
+    x1 = p("x1", 2)
+    assert reduce(x1, gb) == x1
+    assert reduce(p("x1^2 - 3", 5), gb) == p("x1^2 - 3", 5)
+    assert not ideal_contains(gb, [x1])
+    assert ideal_contains(gb, [SparsePolynomial.zero(2), SparsePolynomial.zero(4)])
+    assert not gb.is_trivial
+
+
 def test_reduce_is_idempotent_and_additive():
     gb = specht_ideal_basis(bp((1, 1), (1,)), 3)
     for text in ("x1^4*x2 - x3", "x1*x2*x3 + x2^2", "x1^2 - x2^2 + 1"):

@@ -15,6 +15,7 @@ from bnspecht.polynomials import (
     SparsePolynomial,
     act,
     _descending_key,
+    _exact_quotient,
     act_point,
     order_key,
     parse_polynomial,
@@ -144,6 +145,27 @@ def test_leading_data_and_monic():
     assert p.monic("deglex").leading_coefficient("deglex") == 1
     assert p.sign_normalized() == p
     assert (-p).sign_normalized() == p
+
+
+def test_coefficients_are_ints_where_integral():
+    cases = [
+        (6, 3, 2),
+        (-4, 2, -2),
+        (3, -6, Fraction(-1, 2)),
+        (1, 2, Fraction(1, 2)),
+        (Fraction(3, 2), Fraction(3, 4), 2),
+        (Fraction(1, 3), 2, Fraction(1, 6)),
+    ]
+    for a, b, expected in cases:
+        got = _exact_quotient(a, b)
+        assert got == expected and type(got) is type(expected), (a, b, got)
+    with pytest.raises(ZeroDivisionError):
+        _exact_quotient(1, 0)
+    p = SparsePolynomial(1, {(1,): Fraction(4, 2), (0,): 0.5}).scale(Fraction(2, 3))
+    assert p.terms == {(1,): Fraction(4, 3), (0,): Fraction(1, 3)}
+    assert [type(c) for c in p.scale(3).terms.values()] == [int, int]
+    assert type(SparsePolynomial.constant(2, Fraction(6, 3)).coefficient((0, 0))) is int
+    assert type(p.coefficient((5,))) is int
 
 
 def test_substitute_squares_and_evaluate():
