@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, factorial
 from operator import add, ge, sub
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits, SizeMismatchError
@@ -319,6 +319,7 @@ def covering_certificate(
 
     union = set_a + set_b1
     limits.check_cosets(comb(len(union), a))
+    limits.check_terms(factorial(len(union)))  # the target V^2(union) has |union|! terms
 
     target = vandermonde_squares(n, union)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
@@ -209,12 +208,11 @@ def verify_symmetrization(
     if any(i in forbidden for i in flat):
         raise ValueError("index sets must avoid the variables of the top component")
 
-    half = Fraction(1, 2)
-    cleaned = P
-    for i in profile.i1:
-        cleaned = (cleaned + act(SignedPermutation.sign_flip(n, i), cleaned)).scale(half)
-    for i in profile.i2:
-        cleaned = (cleaned - act(SignedPermutation.sign_flip(n, i), cleaned)).scale(half)
+    # averaging P with its sign flip in x_i keeps the terms whose x_i exponent
+    # is even (i in i1), or odd when the flip is subtracted (i in i2)
+    parities = [(i - 1, 0) for i in profile.i1] + [(i - 1, 1) for i in profile.i2]
+    kept = {e: c for e, c in P.terms.items() if all(e[i] % 2 == parity for i, parity in parities)}
+    cleaned = SparsePolynomial(n, kept)
 
     odd_fresh = [i for s in index_sets[profile.ell :] for i in s]
     base_poly = cleaned * _column_expansion(n, index_sets, 2, odd_fresh)

@@ -1,8 +1,11 @@
 """Partitions, bipartitions, the bidominance order and its Hasse diagram.
 
-Partitions are kept in canonical form (non-increasing, no trailing zeros)
-and indexed 1-based with zero padding beyond their length. Dominance,
-bidominance and the Hecke order all compare prefix sums in `_dominated`.
+Partitions are kept in canonical form (non-increasing, no trailing zeros).
+Rows are read from the `parts` tuple, 0-based, and zero-padded where a
+routine needs rows past the length; `Partition.at` is the public 1-based
+accessor. Dominance, bidominance and the Hecke order all compare prefix
+sums in `_dominated`, and both covering routines walk the Brylawski moves
+of `_brylawski_moves`.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ from functools import cached_property, total_ordering
 from itertools import zip_longest
 
 from .errors import ParseError, SizeMismatchError
-
-_INF = float("inf")
-
 
 @total_ordering
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Partition:
             raise ValueError(f"parts not non-increasing: {self.parts}")
         object.__setattr__(self, "parts", parts)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.parts)
 
@@ -71,7 +71,7 @@ class Bipartition:
     left: Partition
     right: Partition
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.left.size + self.right.size
 
@@ -190,8 +190,7 @@ def conjugate(p: Partition) -> Partition:
 
 def glue(p: Partition, q: Partition) -> Partition:
     """Componentwise sum of the two part sequences."""
-    m = max(p.length, q.length)
-    return Partition(tuple(p.at(i) + q.at(i) for i in range(1, m + 1)))
+    return Partition(tuple(x + y for x, y in zip_longest(p.parts, q.parts, fillvalue=0)))
 
 
 def concatenate(p: Partition, q: Partition) -> Partition:
@@ -203,34 +202,36 @@ def cut(p: Partition, t: int) -> Bipartition:
     """Slice the diagram of p at column threshold t."""
     if t < 0:
         raise ValueError("cut threshold must be non-negative")
-    j = next((i for i in range(1, p.length + 1) if p.at(i) < t), p.length + 1)
-    rho = (t,) * (j - 1) + p.parts[j - 1 :]
-    sigma = tuple(p.at(i) - t for i in range(1, j))
+    j = next((i for i, part in enumerate(p.parts) if part < t), p.length)
+    rho = (t,) * j + p.parts[j:]
+    sigma = tuple(part - t for part in p.parts[:j])
     return Bipartition(Partition(rho), Partition(sigma))
 
 
-def partition_coverings_below(p: Partition) -> list[Partition]:
-    """Partitions covered by p in the dominance order (Brylawski moves).
+def _brylawski_moves(parts: tuple[int, ...]):
+    """Yield (i, j, below) for each partition `below` that `parts` covers in dominance.
 
-    p arises from each output by moving one box from the end of row i up,
-    so conversely each output moves a box of p from row i down to row j
-    with j = i+1 or equal intermediate rows.
+    `below` moves one box of `parts` from row i down to row j (rows 0-based),
+    with j = i+1 or equal intermediate rows (Brylawski's covers). Distinct
+    moves give distinct partitions.
     """
-    found = set()
-    m = p.length
-    rows = [*p.parts, 0]
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 2):
-            parts = rows[: max(m, j)]
-            parts[i - 1] -= 1
-            parts[j - 1] += 1
-            if any(parts[r] < parts[r + 1] for r in range(len(parts) - 1)):
+    m = len(parts)
+    rows = [*parts, 0]
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            below = rows[: max(m, j + 1)]
+            below[i] -= 1
+            below[j] += 1
+            if any(below[r] < below[r + 1] for r in range(len(below) - 1)):
                 continue
             # long falls must land exactly two below the source, through equal rows
-            if not (j == i + 1 or parts[i - 1] == parts[j - 1]):
-                continue
-            found.add(Partition(tuple(parts)))
-    return sorted(found, key=lambda q: q.parts)
+            if j == i + 1 or below[i] == below[j]:
+                yield i, j, tuple(below)
+
+
+def partition_coverings_below(p: Partition) -> list[Partition]:
+    """Partitions covered by p in the dominance order, in lex order of their parts."""
+    return [Partition(q) for q in sorted(below for _, _, below in _brylawski_moves(p.parts))]
 
 
 def is_cm_shape(p: Partition) -> bool:
@@ -275,58 +276,45 @@ def induced_leq(a: Bipartition, b: Bipartition) -> bool:
 # covering moves (the four constructive cases)
 
 
+def _add_on_rows(rows: list[int], lo: int, hi: int, step: int) -> list[int]:
+    """rows with `step` added to each of rows lo..hi."""
+    return [x + step if lo <= r <= hi else x for r, x in enumerate(rows)]
+
+
 def bipartition_coverings_below(a: Bipartition) -> list[Bipartition]:
-    """All bipartitions covered by a in the bidominance order.
+    """All bipartitions covered by a = (λ, μ) in the bidominance order.
 
-    Generated constructively: box moves inside one component (cases 1 and 2,
-    Brylawski moves gated by flatness of the other component) and partial
-    column moves between the components (cases 3 and 4).
+    Rows are 0-based and read as 0 past the length. Four moves give the covers:
+    1. a Brylawski move of λ from row i to row j, if i > 0 and μ_{i-1} = μ_j;
+    2. a Brylawski move of μ from row i to row j, if λ_i = λ_{j+1};
+    3. a box from each of λ's rows i..k, k the last with λ_k = λ_i, to the
+       same rows of μ, if (i = 0 or μ_{i-1} > μ_i) and μ_i = μ_k;
+    4. a box from each of μ's rows i..k, k the last with μ_k = μ_i, to λ's
+       rows i+1..k+1, if λ_i > λ_{i+1} = λ_{k+1}.
+    No two moves give the same bipartition.
     """
-    lam, mu = a.left, a.right
-    found: set[Bipartition] = set()
-
-    def mu_at(i):  # row 0 reads as +infinity so equality chains must start at row 1
-        return _INF if i == 0 else mu.at(i)
-
-    # case 1: Brylawski move inside the left component, right component flat on rows i-1..k
-    for below in partition_coverings_below(lam):
-        i = next(r for r in range(1, max(lam.length, below.length) + 1) if lam.at(r) != below.at(r))
-        k = next(r for r in range(i + 1, max(lam.length, below.length) + 1) if below.at(r) == lam.at(r) + 1)
-        if all(mu_at(i - 1) == mu.at(r) for r in range(i, k + 1)):
-            found.add(Bipartition(below, mu))
-
-    # case 2: Brylawski move inside the right component, left component flat on rows i..k+1
-    for below in partition_coverings_below(mu):
-        i = next(r for r in range(1, max(mu.length, below.length) + 1) if mu.at(r) != below.at(r))
-        k = next(r for r in range(i + 1, max(mu.length, below.length) + 1) if below.at(r) == mu.at(r) + 1)
-        if all(lam.at(i) == lam.at(r) for r in range(i + 1, k + 2)):
-            found.add(Bipartition(lam, below))
-
-    # case 3: move a partial column from the left component to the right, same rows
-    for i in range(1, lam.length + 1):
-        if mu_at(i - 1) <= mu.at(i):
-            continue
-        k = max(r for r in range(i, lam.length + 1) if lam.at(r) == lam.at(i))
-        if mu.at(i) != mu.at(k):
-            continue
-        new_lam = tuple(lam.at(r) - 1 if i <= r <= k else lam.at(r) for r in range(1, lam.length + 1))
-        new_mu = tuple(
-            mu.at(r) + 1 if i <= r <= k else mu.at(r) for r in range(1, max(mu.length, k) + 1)
-        )
-        found.add(bp(new_lam, new_mu))
-
-    # case 4: move a partial column from the right component to the left, one row down
-    for i in range(1, mu.length + 1):
-        k = max(r for r in range(i, mu.length + 1) if mu.at(r) == mu.at(i))
-        if lam.at(i + 1) != lam.at(k + 1) or lam.at(i) <= lam.at(i + 1):
-            continue
-        new_mu = tuple(mu.at(r) - 1 if i <= r <= k else mu.at(r) for r in range(1, mu.length + 1))
-        new_lam = tuple(
-            lam.at(r) + 1 if i + 1 <= r <= k + 1 else lam.at(r)
-            for r in range(1, max(lam.length, k + 1) + 1)
-        )
-        found.add(bp(new_lam, new_mu))
-
+    lam, mu = a.left.parts, a.right.parts
+    width = max(len(lam), len(mu)) + 2
+    L = [*lam] + [0] * (width - len(lam))
+    M = [*mu] + [0] * (width - len(mu))
+    found = [
+        Bipartition(Partition(below), a.right)
+        for i, j, below in _brylawski_moves(lam)
+        if i > 0 and M[i - 1] == M[j]
+    ]
+    found += [
+        Bipartition(a.left, Partition(below))
+        for i, j, below in _brylawski_moves(mu)
+        if L[i] == L[j + 1]
+    ]
+    for i in range(len(lam)):
+        k = max(r for r in range(i, len(lam)) if lam[r] == lam[i])
+        if (i == 0 or M[i - 1] > M[i]) and M[i] == M[k]:
+            found.append(bp(_add_on_rows(L, i, k, -1), _add_on_rows(M, i, k, 1)))
+    for i in range(len(mu)):
+        k = max(r for r in range(i, len(mu)) if mu[r] == mu[i])
+        if L[i] > L[i + 1] == L[k + 1]:
+            found.append(bp(_add_on_rows(L, i + 1, k + 1, 1), _add_on_rows(M, i, k, -1)))
     return sorted(found, key=Bipartition.sort_key)
 
 

@@ -490,12 +490,13 @@ def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
     """
     terms: dict[Exponents, Coefficient] = {}
     for image in images:
-        perm = list(range(1, p.n + 1))
+        source = list(range(p.n))  # sigma(x^e) has exponent e[source[k]] at position k
         for src, dst in zip(domain, image):
-            perm[src - 1] = dst
+            source[dst - 1] = src - 1
         sign = _permutation_sign(domain, image)
-        for exps, coeff in act(SignedPermutation.from_permutation(perm), p).terms.items():
-            terms[exps] = terms.get(exps, 0) + sign * coeff
+        for exps, coeff in p.terms.items():
+            key = tuple(map(exps.__getitem__, source))
+            terms[key] = terms.get(key, 0) + sign * coeff
     return SparsePolynomial(p.n, terms)
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 
 from .errors import EmptyOrbitError, SizeMismatchError
 from .partitions import (
@@ -57,23 +58,22 @@ def bn_orbit_type(z) -> Bipartition:
 
 def orbit_set_nonempty(shape: Bipartition) -> bool:
     """A class is populated iff the left parts are constant through row len(right)+1."""
-    first = shape.left.at(1)
-    return all(shape.left.at(i) == first for i in range(2, shape.right.length + 2))
+    lam, rows = shape.left.parts, shape.right.length + 1
+    return lam[:rows] == lam[:1] * rows  # an empty left part reads as all zeros
 
 
 def orbit_representative(shape: Bipartition) -> Point:
     """Canonical point of the class, built from blocks of values 1, 2, ... and zeros."""
     if not orbit_set_nonempty(shape):
         raise EmptyOrbitError(f"orbit set of {shape} is empty")
-    lam, mu = shape.left, shape.right
-    m = mu.length
+    lam, mu = shape.left.parts, shape.right.parts
+    first = lam[0] if lam else 0
     coords: list[Fraction] = []
-    for i in range(1, m + 1):
-        coords.extend([Fraction(i)] * (lam.at(1) + mu.at(i)))
-    coords.extend([Fraction(0)] * lam.at(1))
-    tail = m if lam.length <= m else lam.length - 1
-    for i in range(m + 1, tail + 1):
-        coords.extend([Fraction(i)] * lam.at(i + 1))
+    for i, part in enumerate(mu, start=1):
+        coords.extend([Fraction(i)] * (first + part))
+    coords.extend([Fraction(0)] * first)
+    for i in range(len(mu) + 1, len(lam)):
+        coords.extend([Fraction(i)] * lam[i])
     return tuple(coords)
 
 
@@ -137,10 +137,10 @@ def witness_z1(shape: Bipartition) -> Point:
 
 def witness_z2(shape: Bipartition) -> Point:
     """Leading zeros, then blocks mixing the right parts with the shifted left parts."""
-    lam, mu = shape.left, shape.right
-    coords: list[Fraction] = [Fraction(0)] * lam.at(1)
-    for i in range(1, max(mu.length, max(lam.length - 1, 0)) + 1):
-        coords.extend([Fraction(i)] * (mu.at(i) + lam.at(i + 1)))
+    lam, mu = shape.left.parts, shape.right.parts
+    coords: list[Fraction] = [Fraction(0)] * (lam[0] if lam else 0)
+    for i, (x, y) in enumerate(zip_longest(mu, lam[1:], fillvalue=0), start=1):
+        coords.extend([Fraction(i)] * (x + y))
     return tuple(coords)
 
 
@@ -161,8 +161,8 @@ def lambda_t(p: Partition, t: int) -> Partition:
         raise ValueError("threshold must be non-negative")
     if t == 0:
         return p
-    if p.at(1) < t:
+    rows = p.parts + (0,)
+    if rows[0] < t:
         raise ValueError(f"no part of {p} reaches threshold {t}")
-    s = max(i for i in range(1, p.length + 1) if p.at(i) >= t)
-    parts = p.parts[: s - 1] + (p.at(s) + p.at(s + 1) - t,) + p.parts[s + 1 :]
-    return Partition(parts)
+    s = max(i for i, part in enumerate(rows) if part >= t)
+    return Partition(rows[:s] + (rows[s] + rows[s + 1] - t,) + rows[s + 2 :])

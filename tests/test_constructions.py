@@ -10,8 +10,11 @@ signed sums of relabelled copies, orbits by acting with all 2^n n!
 signed permutations, enumerations of BP_n by sorting, inclusion steps
 by reducing every generator of the smaller ideal, the three orders by
 row-by-row prefix sums, the nonempty orbit classes by filtering BP_n, the
-rank bound by enumerating BP_n on every call, and dominance coverings by
-reading rows through `Partition.at`.
+rank bound by enumerating BP_n on every call, dominance coverings by
+reading rows through `Partition.at`, bidominance coverings by the four
+covering cases read through `Partition.at` (row 0 of the right component
+as +infinity, each Brylawski move's rows recovered by scanning), and orbit
+representatives through `Partition.at`.
 
 Coefficients are ints where they are integral. `fraction_only` replays the
 route that made every coefficient a Fraction, and the constructors and the
@@ -51,6 +54,7 @@ from bnspecht.partitions import (
     Bipartition,
     Partition,
     bidominates,
+    bipartition_coverings_below,
     bp,
     dominates,
     enumerate_bipartitions,
@@ -79,7 +83,12 @@ from bnspecht.tableaux import (
     specht_polynomial_bn,
     specht_polynomial_sn,
 )
-from bnspecht.varieties import OrbitClass, decompose_variety, orbit_set_nonempty
+from bnspecht.varieties import (
+    OrbitClass,
+    decompose_variety,
+    orbit_representative,
+    orbit_set_nonempty,
+)
 
 SHAPES_UP_TO_6 = [(s, n) for n in range(1, 7) for s in enumerate_bipartitions(n)]
 
@@ -257,6 +266,70 @@ def at_coverings_below(p):
     return sorted(found, key=lambda q: q.parts)
 
 
+def at_bipartition_coverings_below(a):
+    """bipartition_coverings_below reading rows through `Partition.at`, case by case."""
+    lam, mu = a.left, a.right
+    found = set()
+
+    def mu_at(i):  # row 0 reads as +infinity so equality chains must start at row 1
+        return float("inf") if i == 0 else mu.at(i)
+
+    # case 1: Brylawski move inside the left component, right component flat on rows i-1..k
+    for below in at_coverings_below(lam):
+        i = next(r for r in range(1, max(lam.length, below.length) + 1) if lam.at(r) != below.at(r))
+        k = next(r for r in range(i + 1, max(lam.length, below.length) + 1) if below.at(r) == lam.at(r) + 1)
+        if all(mu_at(i - 1) == mu.at(r) for r in range(i, k + 1)):
+            found.add(Bipartition(below, mu))
+
+    # case 2: Brylawski move inside the right component, left component flat on rows i..k+1
+    for below in at_coverings_below(mu):
+        i = next(r for r in range(1, max(mu.length, below.length) + 1) if mu.at(r) != below.at(r))
+        k = next(r for r in range(i + 1, max(mu.length, below.length) + 1) if below.at(r) == mu.at(r) + 1)
+        if all(lam.at(i) == lam.at(r) for r in range(i + 1, k + 2)):
+            found.add(Bipartition(lam, below))
+
+    # case 3: move a partial column from the left component to the right, same rows
+    for i in range(1, lam.length + 1):
+        if mu_at(i - 1) <= mu.at(i):
+            continue
+        k = max(r for r in range(i, lam.length + 1) if lam.at(r) == lam.at(i))
+        if mu.at(i) != mu.at(k):
+            continue
+        new_lam = tuple(lam.at(r) - 1 if i <= r <= k else lam.at(r) for r in range(1, lam.length + 1))
+        new_mu = tuple(
+            mu.at(r) + 1 if i <= r <= k else mu.at(r) for r in range(1, max(mu.length, k) + 1)
+        )
+        found.add(bp(new_lam, new_mu))
+
+    # case 4: move a partial column from the right component to the left, one row down
+    for i in range(1, mu.length + 1):
+        k = max(r for r in range(i, mu.length + 1) if mu.at(r) == mu.at(i))
+        if lam.at(i + 1) != lam.at(k + 1) or lam.at(i) <= lam.at(i + 1):
+            continue
+        new_mu = tuple(mu.at(r) - 1 if i <= r <= k else mu.at(r) for r in range(1, mu.length + 1))
+        new_lam = tuple(
+            lam.at(r) + 1 if i + 1 <= r <= k + 1 else lam.at(r)
+            for r in range(1, max(lam.length, k + 1) + 1)
+        )
+        found.add(bp(new_lam, new_mu))
+
+    return sorted(found, key=Bipartition.sort_key)
+
+
+def at_orbit_representative(shape):
+    """orbit_representative reading rows through `Partition.at`."""
+    lam, mu = shape.left, shape.right
+    m = mu.length
+    coords = []
+    for i in range(1, m + 1):
+        coords.extend([Fraction(i)] * (lam.at(1) + mu.at(i)))
+    coords.extend([Fraction(0)] * lam.at(1))
+    tail = m if lam.length <= m else lam.length - 1
+    for i in range(m + 1, tail + 1):
+        coords.extend([Fraction(i)] * lam.at(i + 1))
+    return tuple(coords)
+
+
 def all_generator_steps(chain, n):
     """Each covering step decided by reducing every generator of the lower shape."""
     return tuple(
@@ -308,6 +381,12 @@ def test_orders_reject_mismatched_sizes_as_the_references_do():
 @pytest.mark.parametrize("n", range(13))
 def test_nonempty_classes_match_the_filtered_vertices(n):
     assert varieties._nonempty_classes(n) == tuple(filtered_classes(n))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_orbit_representatives_match_the_at_reference(n):
+    for shape in varieties._nonempty_classes(n):
+        assert orbit_representative(shape) == at_orbit_representative(shape), shape
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -425,6 +504,24 @@ def test_cli_caps_exit_with_resource_code(capsys, argv):
     assert '"resource-exceeded"' in capsys.readouterr().out
 
 
+def test_certificate_target_is_capped_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded):
+        covering_certificate(4, 1, 1, ResourceLimits(max_terms=5))  # V^2 of 3 variables: 6 terms
+    assert covering_certificate(4, 1, 1, ResourceLimits(max_terms=6)).verified
+    with pytest.raises(ResourceLimitExceeded, match="term count 362880"):
+        covering_certificate(3, 9, 0)  # 9! terms, past the default cap
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_certify_cover_caps_the_target(capsys):
+    start = time.perf_counter()
+    argv = ["certify-cover", "--case", "4", "--a", "1", "--b", "1", "--max-terms", "5"]
+    assert run(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1
+    assert '"resource-exceeded"' in capsys.readouterr().out
+
+
 ALTERNATING_CASES = [
     ("x1^3*x2 - 2*x2^2*x3 + x4", 4),
     ("x1^2*x2*x5^3 + 3*x3 - x4^2*x5", 5),
@@ -444,6 +541,14 @@ def test_alternating_sum_matches_explicit_sum(text, n):
             )
             half = images[::2]
             assert _alternating_sum(p, domain, half) == explicit_alternating_sum(p, domain, half)
+
+
+def test_alternating_sum_in_one_variable():
+    p = parse_polynomial("3*x1^2 - x1 + 5", 1)
+    for domain in ((), (1,)):
+        images = list(itertools.permutations(domain))
+        assert _alternating_sum(p, domain, images) == explicit_alternating_sum(p, domain, images)
+        assert _alternating_sum(p, domain, images) == p
 
 
 def test_alternating_sum_of_a_monomial_is_a_vandermonde():
@@ -490,6 +595,18 @@ def test_rank_bound_enumerates_once_per_n(monkeypatch):
     for shape in enumerate_bipartitions(6):
         rank_bound(shape, 6)
     assert calls == [6]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_bipartition_coverings_match_the_at_reference(n):
+    vertices = enumerate_bipartitions(n)
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for i, v in enumerate(vertices):
+        expected = at_bipartition_coverings_below(v)
+        assert bipartition_coverings_below(v) == expected, v
+        edges.extend((i, index[c]) for c in expected)
+    assert hasse_diagram(n).edges == tuple(sorted(edges))
 
 
 def test_partition_coverings_match_the_at_reference():

@@ -159,6 +159,15 @@ def test_symmetrization_identity_examples():
     assert verify_symmetrization(linear, Monomial((1, 0)), [()])
 
 
+def test_symmetrization_keeps_only_the_sign_averaged_part():
+    # each P carries a term that the sign averaging must remove
+    m = Monomial((2, 1, 1, 0))
+    for text in ("x1^2*x2*x3 + x1*x2*x3", "x1^2*x2*x3 + x1^2*x3"):
+        assert verify_symmetrization(parse_polynomial(text, 4), m, [(4,), (), ()]), text
+    mixed = parse_polynomial("x1^4 + x1^3", 5)
+    assert verify_symmetrization(mixed, Monomial((4, 0, 0, 0, 0)), [(2, 3)])
+
+
 def test_symmetrization_validation():
     P = parse_polynomial("x1^2*x2*x3", 4)
     m = Monomial((2, 1, 1, 0))
