@@ -67,7 +67,11 @@ def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynom
 
     The largest live term is popped from a heap; a term cancelled while still
     queued is skipped when it surfaces. Reduction only adds terms below the
-    popped one, so each term is settled once.
+    popped one, so each term is settled once. This is the one loop that drops
+    a cancelled term itself rather than leaving it to the constructor: `work`
+    holds only live terms, a term is pushed only when it is absent from
+    `work`, and one found absent when it surfaces is skipped, so a zero kept
+    in `work` would be popped and reduced for nothing.
     """
     heap_key = _descending_key(order)
     divisors = list(zip(leads, basis))
@@ -115,11 +119,7 @@ def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> Spars
         for e, c in h.terms.items():
             if e != lead:
                 target = tuple(map(add, shift, e))
-                acc = terms.get(target, 0) + factor * c
-                if acc:
-                    terms[target] = acc
-                else:
-                    del terms[target]
+                terms[target] = terms.get(target, 0) + factor * c
     return SparsePolynomial(f.n, terms)
 
 
@@ -304,18 +304,11 @@ def covering_certificate(
         raise ValueError("only cases 3 and 4 carry certificates")
     if a < 1 or b < 0:
         raise ValueError("need a >= 1 and b >= 0")
-    if case == 3:
-        n = a + 2 * b
-        set_a = tuple(range(1, a + 1))
-        set_b1 = tuple(range(a + 1, a + b + 1))
-        set_b2 = tuple(range(a + b + 1, a + 2 * b + 1))
-        extra_square = False
-    else:
-        n = a + 2 * b + 1
-        set_a = tuple(range(1, a + 1))
-        set_b1 = tuple(range(a + 1, a + b + 2))
-        set_b2 = tuple(range(a + b + 2, a + 2 * b + 2))
-        extra_square = True
+    extra = case == 4
+    n = a + 2 * b + extra
+    set_a = tuple(range(1, a + 1))
+    set_b1 = tuple(range(a + 1, a + b + extra + 1))
+    set_b2 = tuple(range(a + b + extra + 1, n + 1))
 
     union = set_a + set_b1
     limits.check_cosets(comb(len(union), a))
@@ -331,7 +324,7 @@ def covering_certificate(
         xi2 = SparsePolynomial.variable(n, i, 2)
         for j in set_b2:
             base = base * (xi2 - SparsePolynomial.variable(n, j, 2))
-        if extra_square:
+        if extra:
             base = base * xi2
     symmetrized = _alternating_sum(
         base,
@@ -352,8 +345,8 @@ _GROEBNER_WITNESS_MAX_N = 4
 @dataclass(frozen=True)
 class InclusionReport:
     included: bool
-    chain: tuple[Bipartition, ...] = ()
-    verified_steps: tuple[bool, ...] = ()
+    chain: tuple[Bipartition, ...]
+    verified_steps: tuple[bool, ...]
 
     def __bool__(self):
         return self.included
@@ -443,7 +436,7 @@ class UniversalGBReport:
     shape: Bipartition
     n: int
     results: tuple[tuple[str, bool], ...]
-    generator_count: int = 0
+    generator_count: int
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,7 @@ of `_brylawski_moves`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import zip_longest
 
@@ -96,18 +96,27 @@ def bp(left, right) -> Bipartition:
     return Bipartition(Partition(tuple(left)), Partition(tuple(right)))
 
 
-def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
-    """Parse "(a,b,...)" starting at `offset`; returns (partition, next position)."""
-    i = offset
+def _skip_space(text: str, i: int) -> int:
+    """The first position from i on that does not hold whitespace."""
     while i < len(text) and text[i].isspace():
         i += 1
-    if i >= len(text) or text[i] != "(":
-        raise ParseError("expected '('", i)
-    i += 1
+    return i
+
+
+def _expect(text: str, i: int, char: str, message: str) -> int:
+    """The position past `char`, which must be the first non-space character from i on."""
+    i = _skip_space(text, i)
+    if i >= len(text) or text[i] != char:
+        raise ParseError(message, i)
+    return i + 1
+
+
+def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
+    """Parse "(a,b,...)" starting at `offset`; returns (partition, next position)."""
+    i = _expect(text, offset, "(", "expected '('")
     parts = []
     while True:
-        while i < len(text) and text[i].isspace():
-            i += 1
+        i = _skip_space(text, i)
         if i < len(text) and text[i] == ")":
             return Partition(tuple(parts)), i + 1
         start = i
@@ -116,8 +125,7 @@ def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
         if i == start:
             raise ParseError("expected a part or ')'", i)
         parts.append(int(text[start:i]))
-        while i < len(text) and text[i].isspace():
-            i += 1
+        i = _skip_space(text, i)
         if i < len(text) and text[i] == ",":
             i += 1
         elif i < len(text) and text[i] == ")":
@@ -128,26 +136,13 @@ def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
 
 def parse_bipartition(text: str) -> Bipartition:
     """Parse "((a,b,...),(c,...))" with "()" for the empty partition."""
-    i = 0
-    while i < len(text) and text[i].isspace():
-        i += 1
-    if i >= len(text) or text[i] != "(":
-        raise ParseError("expected '(' opening the bipartition", i)
-    left, i = parse_partition(text, i + 1)
-    while i < len(text) and text[i].isspace():
-        i += 1
-    if i >= len(text) or text[i] != ",":
-        raise ParseError("expected ',' between the two partitions", i)
-    right, i = parse_partition(text, i + 1)
-    while i < len(text) and text[i].isspace():
-        i += 1
-    if i >= len(text) or text[i] != ")":
-        raise ParseError("expected ')' closing the bipartition", i)
-    i += 1
-    while i < len(text):
-        if not text[i].isspace():
-            raise ParseError("trailing input after bipartition", i)
-        i += 1
+    i = _expect(text, 0, "(", "expected '(' opening the bipartition")
+    left, i = parse_partition(text, i)
+    i = _expect(text, i, ",", "expected ',' between the two partitions")
+    right, i = parse_partition(text, i)
+    i = _skip_space(text, _expect(text, i, ")", "expected ')' closing the bipartition"))
+    if i < len(text):
+        raise ParseError("trailing input after bipartition", i)
     return Bipartition(left, right)
 
 
@@ -358,7 +353,7 @@ class HasseDiagram:
 
     n: int
     vertices: tuple[Bipartition, ...]
-    edges: tuple[tuple[int, int], ...] = field(default=())
+    edges: tuple[tuple[int, int], ...]
 
     @cached_property
     def _positions(self) -> dict[Bipartition, int]:
@@ -370,11 +365,17 @@ class HasseDiagram:
         except KeyError:
             raise ValueError(f"{v} is not a vertex of BP_{self.n}") from None
 
+    @cached_property
+    def _below(self) -> tuple[tuple[int, ...], ...]:
+        """The indices each vertex covers, in edge order."""
+        below = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            below[u].append(v)
+        return tuple(map(tuple, below))
+
     def closure(self) -> set[tuple[int, int]]:
         """Reflexive-transitive closure of the covering edges, as index pairs."""
-        below = {i: set() for i in range(len(self.vertices))}
-        for u, v in self.edges:
-            below[u].add(v)
+        below = self._below
         reach: dict[int, set[int]] = {}
 
         def dfs(u):
@@ -387,7 +388,7 @@ class HasseDiagram:
             reach[u] = acc
             return acc
 
-        return {(u, v) for u in below for v in dfs(u)}
+        return {(u, v) for u in range(len(below)) for v in dfs(u)}
 
     def maximal_chain_lengths(self) -> set[int]:
         """Element counts of maximal chains from the maximum to the minimum.
@@ -396,9 +397,7 @@ class HasseDiagram:
         once, after those of the vertices it covers, so the cost is the edge
         count times the number of distinct lengths, not the number of chains.
         """
-        below = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            below[u].append(v)
+        below = self._below
         top = self.index(bp((self.n,), ()) if self.n else bp((), ()))
         lengths: dict[int, set[int]] = {}
 

@@ -158,11 +158,7 @@ class SparsePolynomial:
         self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms.get(exps, 0) + coeff
         return SparsePolynomial(self.n, terms)
 
     def __neg__(self):
@@ -183,12 +179,8 @@ class SparsePolynomial:
         terms: dict[Exponents, Coefficient] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exps, 0) + ca * cb
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
+                exps = tuple(map(add, ea, eb))
+                terms[exps] = terms.get(exps, 0) + ca * cb
         return SparsePolynomial(self.n, terms)
 
     __rmul__ = __mul__
@@ -439,24 +431,21 @@ class SignedPermutation:
             tuple(range(1, n + 1)), tuple(-1 if j == i else 1 for j in range(1, n + 1))
         )
 
-    def apply(self, i: int) -> int:
-        return self.perm[i - 1]
-
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """Group law chosen so that act(g.compose(h), p) == act(g, act(h, p))."""
         if self.n != other.n:
             raise AmbientMismatchError("signed permutations of different rank")
-        perm = tuple(self.perm[other.perm[i] - 1] for i in range(self.n))
-        signs = tuple(self.signs[j] * other.signs[self.inverse_image(j + 1) - 1] for j in range(self.n))
+        perm = tuple(self.perm[i - 1] for i in other.perm)
+        preimages = self.inverse().perm
+        signs = tuple(s * other.signs[i - 1] for s, i in zip(self.signs, preimages))
         return SignedPermutation(perm, signs)
 
-    def inverse_image(self, j: int) -> int:
-        return self.perm.index(j) + 1
-
     def inverse(self) -> "SignedPermutation":
-        inv_perm = tuple(self.perm.index(i + 1) + 1 for i in range(self.n))
-        signs = tuple(self.signs[self.perm[j] - 1] for j in range(self.n))
-        return SignedPermutation(inv_perm, signs)
+        inv_perm = [0] * self.n
+        for i, j in enumerate(self.perm, start=1):
+            inv_perm[j - 1] = i
+        signs = tuple(self.signs[j - 1] for j in self.perm)
+        return SignedPermutation(tuple(inv_perm), signs)
 
 
 def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
@@ -473,12 +462,7 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
                 new[j] = e
                 if g.signs[j] == -1 and e % 2:
                     sign = -sign
-        key = tuple(new)
-        acc = terms.get(key, 0) + sign * coeff
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
+        terms[tuple(new)] = sign * coeff  # a relabelling: distinct terms stay distinct
     return SparsePolynomial(p.n, terms)
 
 
@@ -523,6 +507,15 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
+    def integer(self, message: str) -> int:
+        """The run of digits at pos, which it passes; ParseError(message) if there is none."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error(message)
+        return int(self.text[start : self.pos])
+
     def peek(self):
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -562,12 +555,7 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected an integer exponent after '^'")
-            base = base ** int(self.text[start : self.pos])
+            base = base ** self.integer("expected an integer exponent after '^'")
         return base
 
     def atom(self) -> SparsePolynomial:
@@ -581,20 +569,12 @@ class _Parser:
             return poly
         if ch == "x":
             self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected a variable index after 'x'")
-            i = int(self.text[start : self.pos])
+            i = self.integer("expected a variable index after 'x'")
             if not 1 <= i <= self.n:
                 self.error(f"variable x{i} outside ambient 1..{self.n}")
             return SparsePolynomial.variable(self.n, i)
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return SparsePolynomial.constant(self.n, int(self.text[start : self.pos]))
+            return SparsePolynomial.constant(self.n, self.integer("expected a number"))
         self.error("expected a number, variable or '('")
 
 

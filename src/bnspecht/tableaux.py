@@ -100,8 +100,8 @@ def split_bitableau(t: Tableau, shape: Bipartition, n: int) -> Bitableau:
     if t.shape != glue(shape.left, shape.right):
         raise ValueError(f"tableau shape {t.shape} is not the glueing of {shape}")
     cols = t.columns()
-    left_heights = list(_column_heights(shape.left))
-    right_heights = list(_column_heights(shape.right))
+    left_heights = list(conjugate(shape.left).parts)
+    right_heights = list(conjugate(shape.right).parts)
     left_cols, right_cols = [], []
     # within each equal-height group, the left component's columns come first
     for col in cols:
@@ -112,12 +112,6 @@ def split_bitableau(t: Tableau, shape: Bipartition, n: int) -> Bitableau:
             right_heights.remove(len(col))
             right_cols.append(col)
     return Bitableau(Tableau.from_columns(left_cols), Tableau.from_columns(right_cols), n)
-
-
-def _column_heights(p: Partition) -> tuple[int, ...]:
-    if not p.parts:
-        return ()
-    return tuple(sum(1 for part in p.parts if part > j) for j in range(p.parts[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +145,7 @@ def reference_bitableau(shape: Bipartition, n: int) -> Bitableau:
 
 
 def _fill_columns(p: Partition, counter) -> Tableau:
-    cols = [[next(counter) for _ in range(h)] for h in _column_heights(p)]
+    cols = [[next(counter) for _ in range(h)] for h in conjugate(p).parts]
     return Tableau.from_columns(cols)
 
 
@@ -182,8 +176,8 @@ def specht_generators(
     """
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
-    left_heights = _column_heights(shape.left)
-    heights = left_heights + _column_heights(shape.right)
+    left_heights = conjugate(shape.left).parts
+    heights = left_heights + conjugate(shape.right).parts
     split = len(left_heights)
     limits.check_terms(prod(factorial(h) for h in heights))
     keys = []
@@ -229,7 +223,10 @@ def num_standard_bitableaux(shape: Bipartition) -> int:
 
 
 def enumerate_standard_tableaux(p: Partition, entries=None) -> list[Tableau]:
-    """Brute-force row/column-increasing fillings with the given entry set."""
+    """Row/column-increasing fillings with the given entry set, each built once.
+
+    The entries go in increasing order, each to an outer corner of the cells filled so far.
+    """
     if entries is None:
         entries = range(1, p.size + 1)
     entries = sorted(entries)

@@ -116,10 +116,14 @@ def decomposition_report(shape: Bipartition) -> dict:
     return {
         "bipartition": str(shape),
         "classes": [c.to_json() for c in classes],
-        "representatives": [
-            [str(c) for c in orbit_representative(cl.bipartition)] for cl in classes
-        ],
+        "representatives": [list(_representative_text(cl.bipartition)) for cl in classes],
     }
+
+
+@cache
+def _representative_text(shape: Bipartition) -> tuple[str, ...]:
+    """The coordinates of `orbit_representative(shape)` as strings, built once per class."""
+    return tuple(map(str, orbit_representative(shape)))
 
 
 # ---------------------------------------------------------------------------

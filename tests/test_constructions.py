@@ -14,7 +14,9 @@ rank bound by enumerating BP_n on every call, dominance coverings by
 reading rows through `Partition.at`, bidominance coverings by the four
 covering cases read through `Partition.at` (row 0 of the right component
 as +infinity, each Brylawski move's rows recovered by scanning), and orbit
-representatives through `Partition.at`.
+representatives through `Partition.at`, and the bipartition and polynomial
+parsers with each whitespace skip, expected character and digit scan
+written out where it is used.
 
 Coefficients are ints where they are integral. `fraction_only` replays the
 route that made every coefficient a Fraction, and the constructors and the
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 from bnspecht.cli import EXIT_RESOURCE, run
 from bnspecht.errors import (
     AmbientMismatchError,
+    ParseError,
     ResourceLimitExceeded,
     ResourceLimits,
     SizeMismatchError,
@@ -771,7 +774,8 @@ def test_normal_form_and_monic_match_the_fraction_route(p, basis, order):
             [_s_polynomial(f, g, order) for f, g in itertools.combinations(gens, 2)],
         )
 
-    assert_matches_fraction_route(build, integral=False)
+    *_, s_polys = assert_matches_fraction_route(build, integral=False)
+    assert all(0 not in s.terms.values() for s in s_polys)
 
 
 def test_non_integral_quotients_stay_exact():
@@ -781,3 +785,148 @@ def test_non_integral_quotients_stay_exact():
     basis = [parse_polynomial("3*x1 - 1", 1)]
     remainder = _normal_form(parse_polynomial("x1^2", 1), basis, [(1,)], "lex")
     assert remainder.terms == {(0,): Fraction(1, 9)}
+
+
+# ---------------------------------------------------------------------------
+# the parsers against their character-by-character references
+
+
+def scanning_parse_partition(text, offset=0):
+    """parse_partition with every whitespace skip and expected character spelled out."""
+    i = offset
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text) or text[i] != "(":
+        raise ParseError("expected '('", i)
+    i += 1
+    parts = []
+    while True:
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i < len(text) and text[i] == ")":
+            return Partition(tuple(parts)), i + 1
+        start = i
+        while i < len(text) and text[i].isdigit():
+            i += 1
+        if i == start:
+            raise ParseError("expected a part or ')'", i)
+        parts.append(int(text[start:i]))
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i < len(text) and text[i] == ",":
+            i += 1
+        elif i < len(text) and text[i] == ")":
+            return Partition(tuple(parts)), i + 1
+        else:
+            raise ParseError("expected ',' or ')'", i)
+
+
+def scanning_parse_bipartition(text):
+    """parse_bipartition with every whitespace skip and expected character spelled out."""
+    i = 0
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text) or text[i] != "(":
+        raise ParseError("expected '(' opening the bipartition", i)
+    left, i = scanning_parse_partition(text, i + 1)
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text) or text[i] != ",":
+        raise ParseError("expected ',' between the two partitions", i)
+    right, i = scanning_parse_partition(text, i + 1)
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text) or text[i] != ")":
+        raise ParseError("expected ')' closing the bipartition", i)
+    i += 1
+    while i < len(text):
+        if not text[i].isspace():
+            raise ParseError("trailing input after bipartition", i)
+        i += 1
+    return Bipartition(left, right)
+
+
+class ScanningParser(polynomials._Parser):
+    """The polynomial parser with a digit scan written out at each of its three uses."""
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                self.error("expected an integer exponent after '^'")
+            base = base ** int(self.text[start : self.pos])
+        return base
+
+    def atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            poly = self.expression()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return poly
+        if ch == "x":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                self.error("expected a variable index after 'x'")
+            i = int(self.text[start : self.pos])
+            if not 1 <= i <= self.n:
+                self.error(f"variable x{i} outside ambient 1..{self.n}")
+            return SparsePolynomial.variable(self.n, i)
+        if ch.isdigit():
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            return SparsePolynomial.constant(self.n, int(self.text[start : self.pos]))
+        self.error("expected a number, variable or '('")
+
+
+def outcome(parse, *args):
+    """parse(*args), or the type, message and position of the error it raises."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+PARSER_TEXT = "() ,0123x+-*^"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(PARSER_TEXT, max_size=24), st.integers(0, 3))
+@example("((2,1) , (1,1)) ", 0)
+@example(" ( (3), () ) x", 0)
+@example("(1,,2)", 0)
+@example("(1 2)", 1)
+@example("((1),(1)", 0)
+def test_partition_parsers_match_the_scanning_references(text, offset):
+    assert outcome(partitions.parse_bipartition, text) == outcome(scanning_parse_bipartition, text)
+    assert outcome(partitions.parse_partition, text, offset) == outcome(
+        scanning_parse_partition, text, offset
+    )
+
+
+# The parser evaluates as it goes and powers are not capped, so a longer string
+# such as "3^33333333" would spend its time in big-integer arithmetic.
+@settings(deadline=None, max_examples=300)
+@given(st.text(PARSER_TEXT, max_size=8))
+@example("x1^ 2*(x2 - 3)")
+@example("(x1+x2)^3 - x3")
+@example("x^2")
+@example("x 1")
+@example("x1^")
+@example("x4 + 1")
+@example("2 x1")
+def test_polynomial_parser_matches_the_scanning_reference(text):
+    assert outcome(parse_polynomial, text, 3) == outcome(
+        lambda t, n: ScanningParser(t, n).parse(), text, 3
+    )

@@ -83,6 +83,8 @@ def test_ring_axioms(p, q, r):
     assert p + SparsePolynomial.zero(N) == p
     assert p * SparsePolynomial.constant(N, 1) == p
     assert (p - p).is_zero
+    for result in (p + q, p - q, p * q, (p + r) * (q - r)):
+        assert 0 not in result.terms.values()
 
 
 @given(polys)
@@ -211,11 +213,13 @@ def test_sign_flip_action():
 @given(signed_perms, signed_perms, polys)
 def test_action_respects_composition(g, h, p):
     assert act(g.compose(h), p) == act(g, act(h, p))
+    assert 0 not in act(g, p).terms.values()
 
 
 @given(signed_perms, polys)
 def test_inverse_action(g, p):
     assert act(g.inverse(), act(g, p)) == p
+    assert 0 not in act(g.inverse(), p).terms.values()
     assert g.compose(g.inverse()) == SignedPermutation.identity(N)
 
 
