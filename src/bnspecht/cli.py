@@ -7,6 +7,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import DEFAULT_LIMITS, BnSpechtError, ResourceLimitExceeded, ResourceLimits
 from .groebner import (
@@ -31,6 +32,53 @@ from .varieties import bn_orbit_type, decomposition_report, sn_orbit_type
 EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_RESOURCE = 3
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_ONLY_STR = frozenset([str])
+_ONLY_INT = frozenset([int])
+
+
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` byte for byte, its lines after the first shifted by `indent`.
+
+    The stdlib's `indent` turns off its C encoder. Here exact `str`, `int`,
+    constant, list, tuple and `str`-keyed dict values are joined directly, and
+    a list of only `str` or only `int` items in one `map`. Any other value (a
+    float, a subclass, a dict with other keys) goes to the stdlib and is
+    shifted line by line, which is exact because the stdlib escapes every
+    newline inside a string.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return _CONSTANTS[value]
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == _ONLY_STR:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == _ONLY_INT:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) == _ONLY_STR:
+            inner = indent + "  "
+            items = [
+                f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                for key, item in value.items()
+            ]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _limits(args) -> ResourceLimits:
@@ -208,15 +256,15 @@ def run(argv) -> int:
     try:
         payload = args.func(args)
     except ResourceLimitExceeded as exc:
-        print(json.dumps({"status": "resource-exceeded", "error": str(exc)}, indent=2))
+        print(_json_text({"status": "resource-exceeded", "error": str(exc)}))
         return EXIT_RESOURCE
     except (BnSpechtError, ValueError) as exc:
-        print(json.dumps({"status": "rejected-input", "error": str(exc)}, indent=2))
+        print(_json_text({"status": "rejected-input", "error": str(exc)}))
         return EXIT_REJECTED
     if isinstance(payload, str):  # raw DOT text
         print(payload)
     else:
-        print(json.dumps({"status": "ok", "payload": payload}, indent=2))
+        print(_json_text({"status": "ok", "payload": payload}))
     return EXIT_OK
 
 

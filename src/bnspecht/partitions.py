@@ -120,7 +120,7 @@ def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
         if i < len(text) and text[i] == ")":
             return Partition(tuple(parts)), i + 1
         start = i
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and "0" <= text[i] <= "9":
             i += 1
         if i == start:
             raise ParseError("expected a part or ')'", i)

@@ -491,7 +491,7 @@ def act_point(g: SignedPermutation, z) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# text parser (integers, xN, + - * ^, parentheses)
+# text parser (integers, a/b, xN, + - * ^, parentheses)
 
 
 class _Parser:
@@ -508,9 +508,9 @@ class _Parser:
             self.pos += 1
 
     def integer(self, message: str) -> int:
-        """The run of digits at pos, which it passes; ParseError(message) if there is none."""
+        """The run of ASCII digits at pos, which it passes; ParseError(message) if there is none."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error(message)
@@ -573,8 +573,17 @@ class _Parser:
             if not 1 <= i <= self.n:
                 self.error(f"variable x{i} outside ambient 1..{self.n}")
             return SparsePolynomial.variable(self.n, i)
-        if ch.isdigit():
-            return SparsePolynomial.constant(self.n, self.integer("expected a number"))
+        if "0" <= ch <= "9":
+            value = self.integer("expected a number")
+            if self.peek() == "/":
+                self.pos += 1
+                self.skip_ws()
+                start = self.pos
+                denominator = self.integer("expected a denominator after '/'")
+                if not denominator:
+                    raise ParseError("zero denominator", start)
+                value = Fraction(value, denominator)
+            return SparsePolynomial.constant(self.n, value)
         self.error("expected a number, variable or '('")
 
 

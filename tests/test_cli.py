@@ -1,11 +1,22 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from collections import OrderedDict
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bnspecht.cli import EXIT_OK, EXIT_REJECTED, EXIT_RESOURCE, build_parser, run
+from bnspecht.cli import EXIT_OK, EXIT_REJECTED, EXIT_RESOURCE, _json_text, build_parser, run
 from bnspecht.partitions import parse_bipartition
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -157,6 +168,15 @@ def test_rejected_input_exit_code(capsys):
     assert code == EXIT_REJECTED
 
 
+def test_non_ascii_digits_are_rejected_with_their_position(capsys):
+    code, out = invoke(capsys, "order", "--a", "((\u00b2),())", "--b", "((1),())")
+    assert code == EXIT_REJECTED
+    assert json.loads(out) == {
+        "status": "rejected-input",
+        "error": "expected a part or ')' (at position 2)",
+    }
+
+
 @pytest.mark.parametrize("point", ["1/0", "2,-1/0,0", "0/0"])
 def test_orbit_type_rejects_a_zero_denominator(capsys, point):
     code, out = invoke(capsys, "orbit-type", "--point", point)
@@ -210,3 +230,136 @@ def test_resource_exit_code(capsys):
     )
     assert code == EXIT_RESOURCE
     assert json.loads(out)["status"] == "resource-exceeded"
+
+
+# ---------------------------------------------------------------------------
+# the envelope writer against json.dumps(indent=2)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+AWKWARD = '"\\/\n\r\t\x00\x1f\x7f[]{},: \u00e9\u20ac\u2028\ud800\U0001f600x'
+json_texts = st.text(st.sampled_from(AWKWARD), max_size=6) | st.text(max_size=6)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | json_texts
+    | json_texts.map(Text)
+    | st.integers().map(Count)
+)
+json_keys = json_texts | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+def json_containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(json_texts, max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4)
+        | st.dictionaries(json_texts, children, max_size=4)
+        | st.dictionaries(json_texts, children, max_size=4).map(OrderedDict)
+        | st.dictionaries(json_keys, children, max_size=4)
+    )
+
+
+json_values = st.recursive(json_leaves, json_containers, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+@example([])
+@example({})
+@example([[], {}, (), ""])
+@example({"status": "ok", "payload": {"classes": [{"left": [2, 1], "nonempty": True}]}})
+@example([True, 1, False, 0])
+@example({1: [1.5, "a\nb"], "1": {"x": None}})
+@example({"a": {True: [], None: {}}})
+def test_writer_matches_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), [1, {"a": {Fraction(1, 2)}}], {"a": {(1, 2): 3}}, {"a": [b"x"]}]
+)
+def test_writer_raises_what_json_dumps_raises(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(expected.value)
+
+
+ENVELOPES = [
+    ("poset", ("poset", "--n", "3"), EXIT_OK),
+    ("order", ("order", "--a", "((2),())", "--b", "((1),(1))", "--relation", "induced"), EXIT_OK),
+    ("specht", ("specht", "--shape", "((1),(1))", "--n", "2", "--all"), EXIT_OK),
+    (
+        "ideal-inc",
+        ("ideal-inc", "--a", "((2),())", "--b", "((1,1),())", "--n", "2")
+        + ("--method", "certificate"),
+        EXIT_OK,
+    ),
+    ("variety", ("variety", "--shape", "((1,1),(2))", "--n", "4"), EXIT_OK),
+    ("orbit-type", ("orbit-type", "--point", "1/2,-1/2,0"), EXIT_OK),
+    ("gamma", ("gamma", "--poly", "x1^2*x2*x3 + 1/2*x1", "--n", "4"), EXIT_OK),
+    ("certify-cover", ("certify-cover", "--case", "3", "--a", "1", "--b", "1"), EXIT_OK),
+    (
+        "conjecture",
+        ("conjecture", "--shape", "((1),(1))", "--n", "2", "--orders", "lex,deglex"),
+        EXIT_OK,
+    ),
+    ("rank-bound", ("rank-bound", "--shape", "((1),(1))", "--n", "2"), EXIT_OK),
+    ("rejected-non-ascii", ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"), EXIT_REJECTED),
+    ("rejected-digit", ("order", "--a", "((\u00b2),())", "--b", "((1),())"), EXIT_REJECTED),
+    ("resource", IDEAL_INC + ("--max-basis", "2"), EXIT_RESOURCE),
+]
+
+
+@pytest.mark.parametrize("argv, code", [pytest.param(a, c, id=i) for i, a, c in ENVELOPES])
+def test_every_envelope_is_the_indent_2_layout(capsys, argv, code):
+    got, out = invoke(capsys, *argv)
+    assert got == code, out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    assert out.isascii()
+
+
+# ---------------------------------------------------------------------------
+# the CLI as a subprocess (the L5 layer)
+
+
+def module_env():
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "--n", "3"),
+        ("variety", "--shape", "((1,1),(2))", "--n", "4"),
+        ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"),
+    ],
+    ids=["poset", "variety", "rejected"],
+)
+def test_the_module_prints_what_run_prints(capsys, argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bnspecht.cli", *argv],
+        capture_output=True,
+        env=module_env(),
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    code, out = invoke(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+    assert elapsed < 1, f"{argv[0]} took {elapsed:.2f} s"

@@ -67,6 +67,14 @@ def test_parse_error_carries_position():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize("text", ["((\u00b2),())", "((\u0661),())", "((1,\uff12),())"])
+def test_parts_take_ascii_digits_only(text):
+    position = text.index(next(ch for ch in text if ord(ch) > 127))
+    with pytest.raises(ParseError) as err:
+        parse_bipartition(text)
+    assert str(err.value) == f"expected a part or ')' (at position {position})"
+
+
 def test_dominance_basics():
     assert dominates(Partition((3,)), Partition((1, 1, 1)))
     assert not dominates(Partition((2, 2)), Partition((3, 1)))

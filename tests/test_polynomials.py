@@ -92,6 +92,61 @@ def test_string_form_round_trips_through_parser(p):
     assert parse_polynomial(str(p), N) == p
 
 
+rational_polys = st.dictionaries(
+    exponent_tuples,
+    st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool),
+    max_size=5,
+).map(lambda d: SparsePolynomial(N, d))
+
+
+@given(rational_polys)
+def test_rational_string_form_round_trips_through_parser(p):
+    assert parse_polynomial(str(p), N) == p
+
+
+def test_rational_literals():
+    assert str(SparsePolynomial(2, {(1, 0): Fraction(1, 2)})) == "1/2*x1"
+    assert parse_polynomial("1/2*x1", 2) == SparsePolynomial(2, {(1, 0): Fraction(1, 2)})
+    assert parse_polynomial("-3/4 + 2/4*x2^2", 2) == SparsePolynomial(
+        2, {(0, 0): Fraction(-3, 4), (0, 2): Fraction(1, 2)}
+    )
+    assert parse_polynomial("6 / 3", 1).terms == {(0,): 2}
+    assert parse_polynomial("0/5", 1).is_zero
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator (at position 2)"),
+        ("x1 + 2/ 00", "zero denominator (at position 8)"),
+        ("1/", "expected a denominator after '/' (at position 2)"),
+        ("1/x1", "expected a denominator after '/' (at position 2)"),
+        ("1/2/3", "unexpected character '/' (at position 3)"),
+        ("x1/2", "unexpected character '/' (at position 2)"),
+    ],
+)
+def test_rational_literal_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, 2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x\u0661", "expected a variable index after 'x' (at position 1)"),
+        ("x\u00b2", "expected a variable index after 'x' (at position 1)"),
+        ("x1^\u00b2", "expected an integer exponent after '^' (at position 3)"),
+        ("\u0661 + x1", "expected a number, variable or '(' (at position 0)"),
+        ("1/\u0662", "expected a denominator after '/' (at position 2)"),
+    ],
+)
+def test_parser_takes_ascii_digits_only(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, 2)
+    assert str(err.value) == message
+
+
 def test_string_form_examples():
     p = SparsePolynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
     assert str(p) == "x1^2 - x2^2"
