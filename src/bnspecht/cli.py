@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -25,7 +24,7 @@ from .partitions import (
     induced_leq,
     parse_bipartition,
 )
-from .polynomials import parse_polynomial
+from .polynomials import parse_point, parse_polynomial
 from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
 from .varieties import bn_orbit_type, decomposition_report, sn_orbit_type
 
@@ -149,10 +148,7 @@ def _cmd_variety(args) -> dict:
 
 
 def _cmd_orbit_type(args) -> dict:
-    try:
-        coords = tuple(Fraction(piece.strip()) for piece in args.point.split(","))
-    except ZeroDivisionError:
-        raise ValueError(f"point {args.point!r} has a zero denominator") from None
+    coords = parse_point(args.point)
     return {
         "point": [str(c) for c in coords],
         "sn_type": str(sn_orbit_type(coords)),
@@ -171,7 +167,9 @@ def _cmd_certify_cover(args) -> dict:
 def _cmd_conjecture(args) -> dict:
     shape = parse_bipartition(args.shape)
     limits = _limits(args)
-    orders = [tag.strip() for tag in args.orders.split(",") if tag.strip()]
+    orders = list(dict.fromkeys(tag.strip() for tag in args.orders.split(",") if tag.strip()))
+    if not orders:
+        raise ValueError(f"--orders {args.orders!r} names no monomial order")
     report = universal_gb_check(shape, args.n, orders, limits).to_json()
     report["radical"] = radical_report(shape, args.n, limits)
     return report

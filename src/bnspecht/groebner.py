@@ -128,50 +128,65 @@ def _s_pair_remainders(basis: list, order: str, limits: ResourceLimits):
 
     Pairs are queued by (degree of the lcm, order key of the lcm, (i, j)), the
     normal strategy with degree as the sugar tie-break. A caller that appends
-    to basis before resuming has the new elements' pairs queued too, and the
-    remainders that follow are taken modulo the grown basis.
+    to basis before resuming has the new elements admitted too, and the
+    remainders that follow are taken modulo the grown basis. When the
+    generator is exhausted, basis is a Groebner basis.
 
-    Two criteria skip pairs whose S-polynomial is known to reduce to zero:
-    coprime leading monomials (Buchberger's first criterion), and the chain
-    criterion: some other element k has a lead dividing lcm(i, j), and the
-    pairs (i, k) and (j, k) are no longer pending (Gebauer and Moeller,
-    J. Symbolic Comput. 6, 1988). When the generator is exhausted, basis is
-    a Groebner basis.
+    Pairs whose S-polynomial is known to reduce to zero are pruned once, when
+    an element h is admitted, by the update of Gebauer and Moeller (J. Symbolic
+    Comput. 6, 1988; Becker and Weispfenning, Groebner Bases, 1993, p. 230):
+
+    - B_k: a queued pair (i, j) dies if lead(h) divides its lcm and that lcm
+      differs from both lcm(i, h) and lcm(j, h).
+    - M and F: h pairs with every active element i. Of these pairs only those
+      whose lcm is minimal under divisibility are kept, one per lcm. A pair
+      with coprime leads reduces to zero (Buchberger's first criterion): it
+      still counts as a divisor of the other lcms, and it is not queued.
+    - Active set: the elements whose lead lead(h) divides form no further
+      pairs. They stay in basis as reducers.
+
+    The pop loop then only skips the pairs that died.
     """
     key = order_key(order)
     leads: list[Exponents] = []
+    active: list[int] = []  # the elements that still form pairs
+    live: dict[tuple[int, int], Exponents] = {}  # queued pairs not pruned, with their lcm
     queue: list = []
-    pending: set[tuple[int, int]] = set()
 
     def admit_new_elements():
-        for j in range(len(leads), len(basis)):
-            lj = basis[j].leading_exponents(order)
-            for i, li in enumerate(leads):
-                lcm = tuple(map(max, li, lj))
-                heappush(queue, (sum(lcm), key(lcm), (i, j), lcm))
-                pending.add((i, j))
-            leads.append(lj)
-
-    def chain_criterion(i: int, j: int, lcm: Exponents) -> bool:
-        for k, lk in enumerate(leads):
-            if (
-                k != i
-                and k != j
-                and _divides(lk, lcm)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                return True
-        return False
+        for h in range(len(leads), len(basis)):
+            lh = basis[h].leading_exponents(order)
+            for (i, j), lcm in list(live.items()):
+                if (
+                    all(map(ge, lcm, lh))
+                    and lcm != tuple(map(max, leads[i], lh))
+                    and lcm != tuple(map(max, leads[j], lh))
+                ):
+                    del live[i, j]
+            degree = sum(lh)
+            new = []
+            for i in active:
+                lcm = tuple(map(max, leads[i], lh))
+                d = sum(lcm)
+                new.append((d, d != sum(leads[i]) + degree, i, lcm))
+            new.sort()  # a divisor sorts before its multiples, a coprime pair before its equals
+            minimal: list[Exponents] = []
+            for d, overlapping, i, lcm in new:
+                if any(all(map(ge, lcm, m)) for m in minimal):
+                    continue
+                minimal.append(lcm)
+                if overlapping:
+                    live[i, h] = lcm
+                    heappush(queue, (d, key(lcm), (i, h)))
+            active[:] = [i for i in active if not all(map(ge, leads[i], lh))]
+            active.append(h)
+            leads.append(lh)
 
     admit_new_elements()
     while queue:
-        *_, (i, j), lcm = heappop(queue)
-        pending.discard((i, j))
-        if all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j])):
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        if chain_criterion(i, j, lcm):
-            continue
+        i, j = heappop(queue)[2]
+        if live.pop((i, j), None) is None:
+            continue  # pruned after it was queued
         s = _normal_form(_s_polynomial(basis[i], basis[j], order), basis, leads, order)
         limits.check_terms(len(s.terms))
         if not s.is_zero:
@@ -453,11 +468,12 @@ def universal_gb_check(
     orders,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> UniversalGBReport:
-    """Buchberger criterion for the conjectured universal basis of a Specht ideal.
+    """Buchberger's criterion, per order, for one candidate universal basis.
 
-    The candidate set collects the Specht polynomials of every shape below
-    the given bipartition. Empirical evidence only: the report records a
-    pass or fail per order and asserts nothing.
+    The candidate set is the Specht generators of every shape that the given
+    one bidominates, itself included. The report records whether that set is
+    a Groebner basis in each order: findings about that set, which assert
+    nothing about the ideal beyond it.
     """
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")

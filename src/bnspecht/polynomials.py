@@ -522,10 +522,40 @@ class _Parser:
 
     def parse(self) -> SparsePolynomial:
         poly = self.expression()
+        self.end()
+        return poly
+
+    def end(self):
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        return poly
+
+    def point(self) -> tuple[Fraction, ...]:
+        """Comma-separated coordinates, each an optional sign and a number."""
+        coords = []
+        while True:
+            sign = self.peek()
+            if sign in ("+", "-"):
+                self.pos += 1
+                self.skip_ws()
+            value = Fraction(self.number())
+            coords.append(-value if sign == "-" else value)
+            if self.peek() != ",":
+                return tuple(coords)
+            self.pos += 1
+
+    def number(self) -> int | Fraction:
+        """An ASCII integer at pos, then optionally '/' and a nonzero denominator."""
+        value = self.integer("expected a number")
+        if self.peek() == "/":
+            self.pos += 1
+            self.skip_ws()
+            start = self.pos
+            denominator = self.integer("expected a denominator after '/'")
+            if not denominator:
+                raise ParseError("zero denominator", start)
+            value = Fraction(value, denominator)
+        return value
 
     def expression(self) -> SparsePolynomial:
         ch = self.peek()
@@ -574,19 +604,18 @@ class _Parser:
                 self.error(f"variable x{i} outside ambient 1..{self.n}")
             return SparsePolynomial.variable(self.n, i)
         if "0" <= ch <= "9":
-            value = self.integer("expected a number")
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                start = self.pos
-                denominator = self.integer("expected a denominator after '/'")
-                if not denominator:
-                    raise ParseError("zero denominator", start)
-                value = Fraction(value, denominator)
-            return SparsePolynomial.constant(self.n, value)
+            return SparsePolynomial.constant(self.n, self.number())
         self.error("expected a number, variable or '('")
 
 
 def parse_polynomial(text: str, n: int) -> SparsePolynomial:
     """Parse the canonical text form into a polynomial in n variables."""
     return _Parser(text, n).parse()
+
+
+def parse_point(text: str) -> tuple[Fraction, ...]:
+    """Parse comma-separated rational coordinates such as '1/2, -3, 0'."""
+    parser = _Parser(text, 0)
+    coords = parser.point()
+    parser.end()
+    return coords

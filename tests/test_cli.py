@@ -185,6 +185,48 @@ def test_orbit_type_rejects_a_zero_denominator(capsys, point):
     assert doc["status"] == "rejected-input" and "zero denominator" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "point,error",
+    [
+        ("\u0661,1_0,1e1", "expected a number (at position 0)"),
+        ("1,1_0,1e1", "unexpected character '_' (at position 3)"),
+        ("1e1", "unexpected character 'e' (at position 1)"),
+        ("1.5,2", "unexpected character '.' (at position 1)"),
+        ("", "expected a number (at position 0)"),
+        ("1,", "expected a number (at position 2)"),
+        ("1,,2", "expected a number (at position 2)"),
+        ("+-1", "expected a number (at position 1)"),
+        ("1/", "expected a denominator after '/' (at position 2)"),
+        ("2,-1/0,0", "zero denominator (at position 5)"),
+    ],
+)
+def test_orbit_type_reads_the_polynomial_number_grammar(capsys, point, error):
+    code, out = invoke(capsys, "orbit-type", "--point", point)
+    assert code == EXIT_REJECTED
+    assert json.loads(out) == {"status": "rejected-input", "error": error}
+
+
+def test_orbit_type_coordinates_take_a_sign_and_spaces(capsys):
+    doc = payload(capsys, "orbit-type", "--point", " 1/2 , - 3,+4 ")
+    assert doc["point"] == ["1/2", "-3", "4"]
+    assert doc == payload(capsys, "orbit-type", "--point", "1/2,-3,4")
+
+
+def test_conjecture_checks_each_order_once_in_first_seen_order(capsys):
+    argv = ("conjecture", "--shape", "((1),(1))", "--n", "2")
+    doc = payload(capsys, *argv, "--orders", "deglex, lex,deglex,,lex")
+    assert list(doc["orders"]) == ["deglex", "lex"]
+    assert doc == payload(capsys, *argv, "--orders", "deglex,lex")
+
+
+@pytest.mark.parametrize("orders", ["", ",", " , ,"])
+def test_conjecture_rejects_an_empty_order_list(capsys, orders):
+    code, out = invoke(capsys, "conjecture", "--shape", "((1),(1))", "--n", "2", "--orders", orders)
+    assert code == EXIT_REJECTED
+    doc = json.loads(out)
+    assert doc["status"] == "rejected-input" and "names no monomial order" in doc["error"]
+
+
 SPECHT_111 = ("specht", "--shape", "((1,1,1),())", "--n", "3")
 IDEAL_INC = ("ideal-inc", "--a", "((1,1),(2))", "--b", "((),(4))", "--n", "4")
 BACK_TO_BACK = [

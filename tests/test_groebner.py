@@ -19,8 +19,8 @@ from bnspecht.groebner import (
     specht_ideal_contains,
     universal_gb_check,
 )
-from bnspecht.partitions import bidominates, bp, enumerate_bipartitions
-from bnspecht.polynomials import SparsePolynomial, parse_polynomial
+from bnspecht.partitions import bidominates, bp, enumerate_bipartitions, parse_bipartition
+from bnspecht.polynomials import ORDER_TAGS, SparsePolynomial, parse_polynomial
 from bnspecht.tableaux import specht_generators
 
 
@@ -221,3 +221,21 @@ def test_universal_gb_check_n4_finding_survives_pruning():
         if shape != bp((1, 1, 1), (1,)):
             rep = universal_gb_check(shape, 4, ["degrevlex"])
             assert rep.results == (("degrevlex", True),), str(shape)
+
+
+N5_FINDINGS = [
+    ("((1,1,1,1),(1))", False),
+    ("((2,1,1),(1))", False),
+    ("((1,1,1),(1,1))", False),
+    ("((1,1,1),(2))", False),
+    ("((1,1),(1,1,1))", False),
+    ("((2,2),(1))", True),
+    ("((1,1,1,1,1),())", True),
+]
+
+
+@pytest.mark.parametrize("shape,passed", N5_FINDINGS, ids=[s for s, _ in N5_FINDINGS])
+def test_universal_gb_check_n5_findings(shape, passed):
+    # the same verdict in every order: five candidate sets fail and these two pass
+    rep = universal_gb_check(parse_bipartition(shape), 5, ORDER_TAGS)
+    assert rep.results == tuple((tag, passed) for tag in ORDER_TAGS)

@@ -18,6 +18,7 @@ from bnspecht.polynomials import (
     _exact_quotient,
     act_point,
     order_key,
+    parse_point,
     parse_polynomial,
     vandermonde,
     vandermonde_squares,
@@ -129,6 +130,15 @@ def test_rational_literal_errors(text, message):
     with pytest.raises(ParseError) as err:
         parse_polynomial(text, 2)
     assert str(err.value) == message
+
+
+def test_points_read_the_coefficient_literals():
+    point = parse_point(" 2, -1/2 ,+ 3/ 6,0")
+    assert point == (2, Fraction(-1, 2), Fraction(1, 2), 0)
+    assert all(type(c) is Fraction for c in point)
+    with pytest.raises(ParseError) as err:
+        parse_point("1, 2/0")
+    assert err.value.position == 5
 
 
 @pytest.mark.parametrize(
