@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
 from operator import add, ge, sub
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits, SizeMismatchError
-from .partitions import (
-    Bipartition,
-    bidominates,
-    bipartition_coverings_below,
-    enumerate_bipartitions,
-)
+from .partitions import Bipartition, bidominates, enumerate_bipartitions, hasse_diagram
 from .polynomials import (
     Exponents,
     SparsePolynomial,
@@ -22,6 +18,7 @@ from .polynomials import (
     _column_expansion,
     _descending_key,
     _exact_quotient,
+    _parse_order,
     order_key,
     vandermonde_squares,
 )
@@ -43,6 +40,12 @@ class GroebnerBasis:
             self.n, 1
         )
 
+    @cached_property
+    def _divisors(self) -> tuple[tuple[SparsePolynomial, ...], tuple[Exponents, ...]]:
+        """The nonzero generators and their leading exponents, the divisors `reduce` uses."""
+        basis = tuple(g for g in self.generators if not g.is_zero)
+        return basis, tuple(_leads(basis, self.order))
+
 
 def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
     """Normal form of p modulo the basis; p itself modulo the zero ideal (no generators)."""
@@ -50,8 +53,8 @@ def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
         return p
     if p.n != gb.n:
         raise AmbientMismatchError(f"polynomial in {p.n} variables, basis in {gb.n}")
-    basis = [g for g in gb.generators if not g.is_zero]
-    return _normal_form(p, basis, _leads(basis, gb.order), gb.order)
+    basis, leads = gb._divisors
+    return _normal_form(p, basis, leads, gb.order)
 
 
 def _leads(polys, order: str) -> list[Exponents]:
@@ -389,13 +392,12 @@ def inclusion_by_certificates(
 
 
 def _covering_chain(a: Bipartition, b: Bipartition) -> list[Bipartition]:
-    """A path a = c_0 > c_1 > ... > c_k = b through covering moves (DFS)."""
-    if a == b:
-        return [a]
-    for c in bipartition_coverings_below(a):
-        if c == b or bidominates(c, b):
-            return [a] + _covering_chain(c, b)
-    raise RuntimeError(f"no covering chain from {a} down to {b}")  # impossible in a finite poset
+    """A path a = c_0 > c_1 > ... > c_k = b; each step is the first cover whose down-set holds b."""
+    diagram = hasse_diagram(a.size)
+    target, chain = diagram.index(b), [diagram.index(a)]
+    while chain[-1] != target:
+        chain.append(next(c for c in diagram._below[chain[-1]] if diagram._down[c] >> target & 1))
+    return [diagram.vertices[i] for i in chain]
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +479,16 @@ def universal_gb_check(
     """
     if shape.size != n:
         raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
+    orders = list(orders)
+    for tag in orders:
+        _parse_order(tag)  # an unknown tag fails before any generator is built
+    diagram = hasse_diagram(n)
+    below = diagram.down_set(shape)
     # generators of distinct shapes are distinct polynomials (unique factorisation)
     candidate = [
         g
-        for other in enumerate_bipartitions(n)
-        if bidominates(shape, other)
+        for i, other in enumerate(diagram.vertices)
+        if below >> i & 1
         for g in specht_generators(other, n, limits)
     ]
     results = tuple((tag, _passes_buchberger_criterion(candidate, tag, limits)) for tag in orders)

@@ -8,13 +8,7 @@ from functools import cache
 from math import factorial, prod
 
 from .errors import DEFAULT_LIMITS, NoConclusionError, NotApplicableError, ResourceLimits
-from .partitions import (
-    Bipartition,
-    Partition,
-    bidominates,
-    conjugate,
-    enumerate_bipartitions,
-)
+from .partitions import Bipartition, Partition, bidominates, conjugate, hasse_diagram
 from .polynomials import (
     Monomial,
     SignedPermutation,
@@ -126,24 +120,23 @@ def _maxima(labels) -> list[Bipartition]:
 
 def _below_any(maxima, n: int) -> list[Bipartition]:
     """The union of the down-sets of maxima in BP_n, in vertex order."""
-    return [
-        other
-        for other in enumerate_bipartitions(n)
-        if any(bidominates(g, other) for g in maxima)
-    ]
+    diagram = hasse_diagram(n)
+    below = diagram.down_set(*maxima)
+    return [other for i, other in enumerate(diagram.vertices) if below >> i & 1]
 
 
 @cache
-def _weighted_vertices(n: int) -> tuple[tuple[Bipartition, int], ...]:
-    """Each bipartition of n with its squared standard-filling count, in vertex order."""
-    return tuple((b, num_standard_bitableaux(b) ** 2) for b in enumerate_bipartitions(n))
+def _weights(n: int) -> tuple[int, ...]:
+    """Each bipartition of n's squared standard-filling count, in vertex order."""
+    return tuple(num_standard_bitableaux(b) ** 2 for b in hasse_diagram(n).vertices)
 
 
 def rank_bound(shape: Bipartition, n: int) -> int:
     """Sum of squared standard-filling counts over classes the shape fails to bidominate."""
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
-    return sum(weight for other, weight in _weighted_vertices(n) if not bidominates(shape, other))
+    below = hasse_diagram(n).down_set(shape)
+    return sum(weight for i, weight in enumerate(_weights(n)) if not below >> i & 1)
 
 
 def detection_report(P: SparsePolynomial, n: int) -> dict:

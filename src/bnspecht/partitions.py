@@ -5,14 +5,17 @@ Rows are read from the `parts` tuple, 0-based, and zero-padded where a
 routine needs rows past the length; `Partition.at` is the public 1-based
 accessor. Dominance, bidominance and the Hecke order all compare prefix
 sums in `_dominated`, and both covering routines walk the Brylawski moves
-of `_brylawski_moves`.
+of `_brylawski_moves`. `hasse_diagram(n)` builds BP_n's diagram once per n
+and hands every caller the same immutable object, whose down-set bitsets
+answer every "what lies below" query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, reduce, total_ordering
 from itertools import zip_longest
+from operator import or_
 
 from .errors import ParseError, SizeMismatchError
 
@@ -349,11 +352,14 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Covering graph of (BP_n, bidominance); edges point from coverer to covered."""
+    """Covering graph of (BP_n, bidominance); edges point from coverer to covered.
+
+    `hasse_diagram(n)` builds one diagram per n and shares it: it is immutable,
+    and its covers and down-sets are computed once, on first use.
+    """
 
     n: int
     vertices: tuple[Bipartition, ...]
-    edges: tuple[tuple[int, int], ...]
 
     @cached_property
     def _positions(self) -> dict[Bipartition, int]:
@@ -366,6 +372,13 @@ class HasseDiagram:
             raise ValueError(f"{v} is not a vertex of BP_{self.n}") from None
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (coverer, covered) index pairs, sorted."""
+        index = self._positions
+        covers = bipartition_coverings_below
+        return tuple(sorted((i, index[c]) for i, v in enumerate(self.vertices) for c in covers(v)))
+
+    @cached_property
     def _below(self) -> tuple[tuple[int, ...], ...]:
         """The indices each vertex covers, in edge order."""
         below = [[] for _ in self.vertices]
@@ -373,22 +386,26 @@ class HasseDiagram:
             below[u].append(v)
         return tuple(map(tuple, below))
 
+    @cached_property
+    def _down(self) -> tuple[int, ...]:
+        """Each vertex's down-set, itself included, as a bitset: bit i is vertex i.
+
+        Built in lex order of `Bipartition.interleaved`, a linear extension of
+        bidominance, so each vertex comes after the covers whose down-sets it joins.
+        """
+        below, down = self._below, [0] * len(self.vertices)
+        for u in sorted(range(len(down)), key=lambda u: self.vertices[u].interleaved):
+            down[u] = reduce(or_, (down[c] for c in below[u]), 1 << u)
+        return tuple(down)
+
+    def down_set(self, *tops: Bipartition) -> int:
+        """Bit i is set iff one of the tops bidominates vertex i: the union of their down-sets."""
+        return reduce(or_, (self._down[self.index(top)] for top in tops), 0)
+
     def closure(self) -> set[tuple[int, int]]:
         """Reflexive-transitive closure of the covering edges, as index pairs."""
-        below = self._below
-        reach: dict[int, set[int]] = {}
-
-        def dfs(u):
-            if u in reach:
-                return reach[u]
-            acc = {u}
-            reach[u] = acc  # placeholder breaks cycles (none exist in a poset)
-            for v in below[u]:
-                acc |= dfs(v)
-            reach[u] = acc
-            return acc
-
-        return {(u, v) for u in range(len(below)) for v in dfs(u)}
+        down = self._down
+        return {(u, v) for u, bits in enumerate(down) for v in range(len(down)) if bits >> v & 1}
 
     def maximal_chain_lengths(self) -> set[int]:
         """Element counts of maximal chains from the maximum to the minimum.
@@ -428,12 +445,11 @@ class HasseDiagram:
         return "\n".join(lines)
 
 
+@cache
+def _hasse_diagram(n: int) -> HasseDiagram:
+    return HasseDiagram(n, tuple(enumerate_bipartitions(n)))
+
+
 def hasse_diagram(n: int) -> HasseDiagram:
-    """Build the bidominance Hasse diagram on BP_n."""
-    vertices = enumerate_bipartitions(n)
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for c in bipartition_coverings_below(v):
-            edges.append((i, index[c]))
-    return HasseDiagram(n, tuple(vertices), tuple(sorted(edges)))
+    """The bidominance Hasse diagram on BP_n, built once per n and shared."""
+    return _hasse_diagram(n)

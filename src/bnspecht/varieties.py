@@ -17,6 +17,7 @@ from .partitions import (
     cut,
     enumerate_partitions,
     glue,
+    hasse_diagram,
 )
 from .tableaux import specht_generators
 
@@ -103,10 +104,12 @@ def _nonempty_classes(n: int) -> tuple[Bipartition, ...]:
 
 def decompose_variety(shape: Bipartition) -> list[OrbitClass]:
     """Nonempty orbit classes whose type is not bidominated by the shape."""
+    diagram = hasse_diagram(shape.size)
+    below = diagram.down_set(shape)
     return [
         OrbitClass(other, True)
         for other in _nonempty_classes(shape.size)
-        if not bidominates(shape, other)
+        if not below >> diagram.index(other) & 1
     ]
 
 

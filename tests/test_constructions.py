@@ -24,6 +24,7 @@ reduced Specht bases must agree with it exactly.
 """
 
 import contextlib
+import functools
 import itertools
 import sys
 import time
@@ -45,6 +46,7 @@ from bnspecht import invariants, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
+    _covering_chain,
     _normal_form,
     _s_polynomial,
     covering_certificate,
@@ -66,7 +68,7 @@ from bnspecht.partitions import (
     hecke_leq,
     partition_coverings_below,
 )
-from bnspecht.invariants import bn_orbit, rank_bound
+from bnspecht.invariants import bn_orbit, excluded_orbit_classes, rank_bound
 from bnspecht.polynomials import (
     ORDER_TAGS,
     SignedPermutation,
@@ -250,6 +252,29 @@ def enumerating_rank_bound(shape, n):
         for other in enumerate_bipartitions(n)
         if not bidominates(shape, other)
     )
+
+
+@functools.cache
+def pairwise_up_sets(n):
+    """Each vertex of BP_n, in vertex order, mapped to the vertices that bidominate it."""
+    vertices = enumerate_bipartitions(n)
+    return {b: frozenset(a for a in vertices if bidominates(a, b)) for b in vertices}
+
+
+def filtered_below_any(maxima, n):
+    """_below_any filtering BP_n through pairwise bidominance, each pair tested once per n."""
+    tops = set(maxima)
+    return [other for other, above in pairwise_up_sets(n).items() if not above.isdisjoint(tops)]
+
+
+def dfs_covering_chain(a, b):
+    """_covering_chain as a DFS over freshly built covers, pruned by pairwise bidominance."""
+    if a == b:
+        return [a]
+    for c in bipartition_coverings_below(a):
+        if c == b or bidominates(c, b):
+            return [a] + dfs_covering_chain(c, b)
+    raise RuntimeError(f"no covering chain from {a} down to {b}")
 
 
 def at_coverings_below(p):
@@ -588,16 +613,45 @@ def test_rank_bound_matches_the_enumerating_reference(n):
         assert rank_bound(shape, n) == enumerating_rank_bound(shape, n), shape
 
 
-def test_rank_bound_enumerates_once_per_n(monkeypatch):
-    invariants._weighted_vertices.cache_clear()
+def test_one_n_builds_its_covers_once(monkeypatch):
+    partitions._hasse_diagram.cache_clear()
     calls = []
-    original = invariants.enumerate_bipartitions
+    original = partitions.bipartition_coverings_below
     monkeypatch.setattr(
-        invariants, "enumerate_bipartitions", lambda n: calls.append(n) or original(n)
+        partitions, "bipartition_coverings_below", lambda v: calls.append(v) or original(v)
     )
-    for shape in enumerate_bipartitions(6):
-        rank_bound(shape, 6)
-    assert calls == [6]
+    n = 4
+    for shape in enumerate_bipartitions(n):
+        rank_bound(shape, n)
+        decompose_variety(shape)
+    assert excluded_orbit_classes(parse_polynomial("x2*x3*(x1^2 - 1)", n), n)
+    universal_gb_check(bp((1, 1), (1, 1)), n, ["lex"])
+    assert calls == list(hasse_diagram(n).vertices)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_down_sets_match_the_bidominance_rows(n):
+    diagram = hasse_diagram(n)
+    assert hasse_diagram(n) is diagram
+    for a in diagram.vertices:
+        row = sum(1 << j for j, b in enumerate(diagram.vertices) if bidominates(a, b))
+        assert diagram.down_set(a) == row, a
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_below_any_matches_the_filtered_reference(n):
+    vertices = list(pairwise_up_sets(n))
+    for k in range(4):
+        for tops in itertools.combinations(vertices, k):
+            assert invariants._below_any(tops, n) == filtered_below_any(tops, n), tops
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_covering_chains_match_the_dfs_reference(n):
+    shapes = enumerate_bipartitions(n)
+    for a, b in itertools.product(shapes, repeat=2):
+        if bidominates(a, b):
+            assert _covering_chain(a, b) == dfs_covering_chain(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnspecht import groebner
 from bnspecht.errors import AmbientMismatchError, ResourceLimitExceeded, SizeMismatchError
 from bnspecht.groebner import (
     GroebnerBasis,
@@ -91,6 +92,19 @@ def test_reduce_is_idempotent_and_additive():
         assert reduce(r, gb) == r
     a, b = p("x1^3*x3", 3), p("x2^2 - x3^2 + x1", 3)
     assert reduce(a + b, gb) == reduce(reduce(a, gb) + reduce(b, gb), gb)
+
+
+def test_reduce_finds_the_leading_terms_once_per_basis(monkeypatch):
+    gb = specht_ideal_basis(bp((1, 1), (1,)), 3)
+    calls = []
+    original = groebner._leads
+    monkeypatch.setattr(groebner, "_leads", lambda *args: calls.append(args) or original(*args))
+    polys = [p(text, 3) for text in ("x1^4*x2 - x3", "x1*x2*x3 + x2^2", "x1^2 - x2^2 + 1")]
+    remainders = [reduce(q, gb) for q in polys]
+    assert ideal_contains(gb, [q - r for q, r in zip(polys, remainders)])
+    assert len(calls) == 1
+    with pytest.raises(AmbientMismatchError):
+        reduce(p("x1", 2), gb)
 
 
 def test_reduced_basis_is_independent_of_generator_order():
@@ -203,6 +217,15 @@ def test_universal_gb_check_reports():
     assert doc["shape"] == "((1),(1))" and doc["n"] == 2
     with pytest.raises(SizeMismatchError):
         universal_gb_check(bp((1,), ()), 2, ["lex"])
+
+
+def test_universal_gb_check_rejects_an_unknown_order_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("specht_generators called before the order tags were checked")
+
+    monkeypatch.setattr(groebner, "specht_generators", refuse)
+    with pytest.raises(ValueError, match="bogus"):
+        universal_gb_check(bp((4,), (1,)), 5, ["lex", "bogus"])
 
 
 @settings(deadline=None, max_examples=20)
