@@ -332,18 +332,18 @@ def covering_certificate(
     limits.check_cosets(comb(len(union), a))
     limits.check_terms(factorial(len(union)))  # the target V^2(union) has |union|! terms
 
-    target = vandermonde_squares(n, union)
-
     # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
     # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
     # union -> image_a + rest, which fixes B2 and so R: build the A term once, then relabel.
+    # Each product is capped before it is formed: the A term can outgrow the target.
     base = _column_expansion(n, (set_a, set_b1), 2)
     for i in set_a:
         xi2 = SparsePolynomial.variable(n, i, 2)
-        for j in set_b2:
-            base = base * (xi2 - SparsePolynomial.variable(n, j, 2))
-        if extra:
-            base = base * xi2
+        factors = [xi2 - SparsePolynomial.variable(n, j, 2) for j in set_b2] + [xi2] * extra
+        for factor in factors:
+            limits.check_terms(len(base.terms) * len(factor.terms))
+            base = base * factor
+    target = vandermonde_squares(n, union)
     symmetrized = _alternating_sum(
         base,
         union,

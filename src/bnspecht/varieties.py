@@ -1,4 +1,10 @@
-"""Orbit types under signed permutations and the orbit-set decomposition of Specht varieties."""
+"""Orbit types under signed permutations and the orbit-set decomposition of Specht varieties.
+
+The nonempty orbit classes of size n, their positions in `hasse_diagram(n)`,
+their JSON fields and their representatives are tabulated once per n, so a
+decomposition is one bit test per class against the shape's down-set. Every
+report is built afresh from those tables; none of its dicts or lists is shared.
+"""
 
 from __future__ import annotations
 
@@ -102,31 +108,55 @@ def _nonempty_classes(n: int) -> tuple[Bipartition, ...]:
     return tuple(sorted(classes, key=Bipartition.sort_key))
 
 
-def decompose_variety(shape: Bipartition) -> list[OrbitClass]:
-    """Nonempty orbit classes whose type is not bidominated by the shape."""
-    diagram = hasse_diagram(shape.size)
-    below = diagram.down_set(shape)
-    return [
-        OrbitClass(other, True)
-        for other in _nonempty_classes(shape.size)
-        if not below >> diagram.index(other) & 1
-    ]
+@cache
+def _class_rows(n: int) -> tuple[tuple[int, OrbitClass, tuple], ...]:
+    """One row per nonempty class of size n, in `_nonempty_classes(n)` order.
 
-
-def decomposition_report(shape: Bipartition) -> dict:
-    """JSON-ready decomposition with one representative per class."""
-    classes = decompose_variety(shape)
-    return {
-        "bipartition": str(shape),
-        "classes": [c.to_json() for c in classes],
-        "representatives": [list(_representative_text(cl.bipartition)) for cl in classes],
-    }
+    A row holds the class's position in `hasse_diagram(n)`, its shared
+    `OrbitClass` and the (key, value) items of its `to_json()`, lists as tuples.
+    """
+    position = hasse_diagram(n).index
+    rows = []
+    for shape in _nonempty_classes(n):
+        orbit_class = OrbitClass(shape, True)
+        fields = tuple(
+            (key, tuple(value) if type(value) is list else value)
+            for key, value in orbit_class.to_json().items()
+        )
+        rows.append((position(shape), orbit_class, fields))
+    return tuple(rows)
 
 
 @cache
-def _representative_text(shape: Bipartition) -> tuple[str, ...]:
-    """The coordinates of `orbit_representative(shape)` as strings, built once per class."""
-    return tuple(map(str, orbit_representative(shape)))
+def _representative_rows(n: int) -> tuple[tuple[str, ...], ...]:
+    """Each class's `orbit_representative` coordinates as strings, in `_class_rows(n)` order."""
+    return tuple(tuple(map(str, orbit_representative(shape))) for shape in _nonempty_classes(n))
+
+
+def decompose_variety(shape: Bipartition) -> list[OrbitClass]:
+    """Nonempty orbit classes whose type is not bidominated by the shape.
+
+    The classes are tabulated once per n; a query tests one bit of the shape's
+    down-set per class and returns a new list of the shared, frozen classes.
+    """
+    below = hasse_diagram(shape.size).down_set(shape)
+    return [orbit_class for v, orbit_class, _ in _class_rows(shape.size) if not below >> v & 1]
+
+
+def decomposition_report(shape: Bipartition) -> dict:
+    """JSON-ready decomposition with one representative per class.
+
+    Read from the per-n class and representative tables, but every dict and
+    list in the report is built afresh, so a caller may mutate it freely.
+    """
+    n = shape.size
+    below = hasse_diagram(n).down_set(shape)
+    classes, representatives = [], []
+    for (v, _, fields), coords in zip(_class_rows(n), _representative_rows(n)):
+        if not below >> v & 1:
+            classes.append({key: list(val) if type(val) is tuple else val for key, val in fields})
+            representatives.append(list(coords))
+    return {"bipartition": str(shape), "classes": classes, "representatives": representatives}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ chain lengths by walking every maximal chain, alternating sums as explicit
 signed sums of relabelled copies, orbits by acting with all 2^n n!
 signed permutations, enumerations of BP_n by sorting, inclusion steps
 by reducing every generator of the smaller ideal, the three orders by
-row-by-row prefix sums, the nonempty orbit classes by filtering BP_n, the
+row-by-row prefix sums, the nonempty orbit classes by filtering BP_n, variety
+reports by filtering those classes with pairwise bidominance and rendering
+each class and representative anew, the
 rank bound by enumerating BP_n on every call, dominance coverings by
 reading rows through `Partition.at`, bidominance coverings by the four
 covering cases read through `Partition.at` (row 0 of the right component
@@ -25,16 +27,22 @@ reduced Specht bases must agree with it exactly.
 
 import contextlib
 import functools
+import hashlib
+import io
 import itertools
+import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnspecht.cli import EXIT_RESOURCE, run
+from bnspecht.cli import EXIT_RESOURCE, _json_text, run
 from bnspecht.errors import (
     AmbientMismatchError,
     ParseError,
@@ -42,7 +50,7 @@ from bnspecht.errors import (
     ResourceLimits,
     SizeMismatchError,
 )
-from bnspecht import invariants, partitions, polynomials, varieties
+from bnspecht import groebner, invariants, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
@@ -91,6 +99,7 @@ from bnspecht.tableaux import (
 from bnspecht.varieties import (
     OrbitClass,
     decompose_variety,
+    decomposition_report,
     orbit_representative,
     orbit_set_nonempty,
 )
@@ -241,6 +250,16 @@ def row_hecke_leq(a, b):
 
 def filtered_classes(n):
     return [s for s in enumerate_bipartitions(n) if orbit_set_nonempty(s)]
+
+
+def filtered_decomposition_report(shape, classes):
+    """decomposition_report filtering the classes pairwise and rendering each one anew."""
+    kept = [OrbitClass(o, True) for o in classes if not row_bidominates(shape, o)]
+    return {
+        "bipartition": str(shape),
+        "classes": [c.to_json() for c in kept],
+        "representatives": [list(map(str, orbit_representative(c.bipartition))) for c in kept],
+    }
 
 
 def enumerating_rank_bound(shape, n):
@@ -428,6 +447,71 @@ def test_decompositions_match_the_filtered_reference(n, monkeypatch):
         assert decompose_variety(shape) == classes, shape
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_variety_reports_match_the_filtered_reference(n):
+    classes = filtered_classes(n)
+    for shape in enumerate_bipartitions(n):
+        expected = _json_text(filtered_decomposition_report(shape, classes))
+        assert _json_text(decomposition_report(shape)) == expected, shape
+
+
+def test_variety_outputs_match_the_recorded_n10_digests():
+    expected = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    shapes = enumerate_bipartitions(10)
+    for shape in shapes:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(["variety", "--shape", str(shape), "--n", "10"]) == 0
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
+        assert got == expected[f"poset-queries/variety/n10/{shape}"], shape
+    assert len(shapes) == 481
+
+
+FRESH_DECOMPOSITION = """
+import json, sys
+from bnspecht.partitions import parse_bipartition
+from bnspecht.varieties import decompose_variety, decomposition_report
+shape = parse_bipartition(sys.argv[1])
+print(json.dumps([decomposition_report(shape), [c.to_json() for c in decompose_variety(shape)]]))
+"""
+
+
+def returned_containers(report, classes):
+    """Every dict and list handed back by one report and one decomposition."""
+    class_dicts = report["classes"]
+    return [
+        report, class_dicts, report["representatives"], classes, *class_dicts,
+        *(c[key] for c in class_dicts for key in ("left", "right")), *report["representatives"],
+    ]
+
+
+def test_reports_share_no_mutable_state():
+    shape = bp((2, 1), (1, 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(varieties.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_DECOMPOSITION, str(shape)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    fresh_report, fresh_classes = json.loads(fresh.stdout)
+    first, first_classes = decomposition_report(shape), decompose_variety(shape)
+    mutated = {id(x) for x in returned_containers(first, first_classes)}
+    for c in first["classes"]:
+        c["left"].append(9)
+        c["right"].append(9)
+        c["nonempty"] = False
+        c["extra"] = True
+    for coords in first["representatives"]:
+        coords.append("9")
+    first["classes"].append({})
+    first["representatives"].append([])
+    first["bipartition"] = "mutated"
+    first_classes.append(None)
+    second, second_classes = decomposition_report(shape), decompose_variety(shape)
+    assert second == fresh_report
+    assert [c.to_json() for c in second_classes] == fresh_classes
+    assert not mutated & {id(x) for x in returned_containers(second, second_classes)}
+
+
 def test_bipartition_enumeration_builds_each_size_once(monkeypatch):
     calls = []
     original = partitions.enumerate_partitions
@@ -542,6 +626,37 @@ def test_certificate_target_is_capped_before_building():
     assert time.perf_counter() - start < 1
 
 
+def test_certificate_products_are_capped_before_building():
+    for case, a, b in ((3, 1, 7), (4, 1, 6)):  # targets of 8! terms pass the up-front cap
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded, match="term count 322560"):
+            covering_certificate(case, a, b)
+        assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("case,a,b,peak", [(3, 2, 5, 92400), (3, 3, 4, 76896)])
+def test_certificates_under_the_product_cap_verify(case, a, b, peak, monkeypatch):
+    sizes = []
+
+    def alternating_sum(base, *rest):
+        sizes.append(len(base.terms))  # the last and largest product
+        return _alternating_sum(base, *rest)
+
+    monkeypatch.setattr(groebner, "_alternating_sum", alternating_sum)
+    assert covering_certificate(case, a, b).verified
+    assert sizes == [peak]
+
+
+def test_cli_certify_cover_caps_the_products(capsys):
+    start = time.perf_counter()
+    assert run(["certify-cover", "--case", "3", "--a", "1", "--b", "7"]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "resource-exceeded",
+        "error": "term count 322560 exceeds cap 200000",
+    }
+
+
 def test_cli_certify_cover_caps_the_target(capsys):
     start = time.perf_counter()
     argv = ["certify-cover", "--case", "4", "--a", "1", "--b", "1", "--max-terms", "5"]
@@ -627,6 +742,24 @@ def test_one_n_builds_its_covers_once(monkeypatch):
     assert excluded_orbit_classes(parse_polynomial("x2*x3*(x1^2 - 1)", n), n)
     universal_gb_check(bp((1, 1), (1, 1)), n, ["lex"])
     assert calls == list(hasse_diagram(n).vertices)
+
+
+def test_one_n_tabulates_its_classes_once(monkeypatch):
+    varieties._class_rows.cache_clear()
+    varieties._representative_rows.cache_clear()
+    rendered, represented = [], []
+    to_json, representative = OrbitClass.to_json, varieties.orbit_representative
+    monkeypatch.setattr(OrbitClass, "to_json", lambda c: rendered.append(c) or to_json(c))
+    monkeypatch.setattr(
+        varieties, "orbit_representative", lambda s: represented.append(s) or representative(s)
+    )
+    for shape in (bp((2, 1), (1, 1)), bp((), (3, 2))):
+        decomposition_report(shape)
+    classes = set(varieties._nonempty_classes(5))
+    assert len({c.bipartition for c in rendered}) == len(rendered) <= len(classes)
+    assert {c.bipartition for c in rendered} <= classes
+    assert len(set(represented)) == len(represented) <= len(classes)
+    assert set(represented) <= classes
 
 
 @pytest.mark.parametrize("n", range(8))
