@@ -1,4 +1,29 @@
-"""Buchberger machinery, Specht-ideal inclusions and covering certificates."""
+"""Buchberger machinery, Specht-ideal inclusions and covering certificates.
+
+Every Groebner computation (`buchberger`, `reduce`, the universal-basis
+check and radical membership) runs on one private kernel over packed
+monomials (Monagan and Pearce, CASC 2007). `polynomials._MonomialCodec`
+lays an exponent tuple out as one Python int:
+
+- each variable has a field of w bits whose top bit is a guard bit, with
+  the variable the order compares first in the most significant field;
+- graded orders put the total degree D above the n * w field bits, and
+  degrevlex keys are D * 2**(n * w) - F for the fields F;
+- the packed monomial is the negated order key, so a min-heap of plain ints
+  pops the largest monomial first and a product is one int add.
+
+Lead divides m iff `not sign * (m - lead) & guard`: with every guard bit
+clear, the lowest field of m below lead's borrows and sets its guard bit.
+Inputs are packed on entry and only the outputs are unpacked, so every
+public value is keyed by exponent tuples.
+
+The field width starts from the largest input exponent with headroom. A
+product of two monomials whose guard bits are clear cannot carry into the
+next field, only set its own guard bit, and every monomial is popped from the
+work heap before it can reach an output or a further product. So each one is
+guard-checked when it is popped, and a set guard bit reruns the whole call at
+double the width: results stay exact at any exponent.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +31,20 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import comb, factorial
-from operator import add, ge, sub
+from math import comb, factorial, inf
+from operator import itemgetter
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits, SizeMismatchError
 from .partitions import Bipartition, bidominates, enumerate_bipartitions, hasse_diagram
 from .polynomials import (
-    Exponents,
     SparsePolynomial,
     _alternating_sum,
     _column_expansion,
-    _descending_key,
     _exact_quotient,
+    _field_width,
+    _monomial_codec,
+    _normalize,
     _parse_order,
-    order_key,
     vandermonde_squares,
 )
 from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
@@ -41,10 +66,9 @@ class GroebnerBasis:
         )
 
     @cached_property
-    def _divisors(self) -> tuple[tuple[SparsePolynomial, ...], tuple[Exponents, ...]]:
-        """The nonzero generators and their leading exponents, the divisors `reduce` uses."""
-        basis = tuple(g for g in self.generators if not g.is_zero)
-        return basis, tuple(_leads(basis, self.order))
+    def _packed_divisors(self) -> dict[int, list]:
+        """Field width -> the generators as packed divisors; `reduce` fills each width once."""
+        return {}
 
 
 def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
@@ -53,91 +77,155 @@ def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
         return p
     if p.n != gb.n:
         raise AmbientMismatchError(f"polynomial in {p.n} variables, basis in {gb.n}")
-    basis, leads = gb._divisors
-    return _normal_form(p, basis, leads, gb.order)
+
+    def remainder(codec):
+        divisors = gb._packed_divisors.get(codec.width)
+        if divisors is None:
+            divisors = gb._packed_divisors[codec.width] = _pack_divisors(gb.generators, codec)
+        terms = _normal_form(codec.pack_terms(p.terms), divisors, codec)
+        return SparsePolynomial(p.n, codec.unpack_terms(terms.items()))
+
+    return _packed_run(gb.n, gb.order, _largest_exponent((p, *gb.generators)), remainder)
 
 
-def _leads(polys, order: str) -> list[Exponents]:
-    return [g.leading_exponents(order) for g in polys]
+# ---------------------------------------------------------------------------
+# the packed kernel
+#
+# A packed polynomial is a dict from packed monomial to nonzero coefficient.
+# A divisor is one tuple (lead, lead key, lead coeff, tail): the leading
+# monomial in the exponent form `sign * key` that the guard test reads, its
+# packed key, its coefficient and the other terms as (key, coeff) pairs.
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(ge, b, a))
+class _FieldOverflow(Exception):
+    """A popped monomial set a guard bit: the call must rerun with wider fields."""
 
 
-def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynomial:
-    """Remainder of p on division by basis, whose leading exponents are leads.
+def _largest_exponent(polys) -> int:
+    flat = itertools.chain.from_iterable
+    return max(flat(flat(p.terms for p in polys)), default=0)
 
-    The largest live term is popped from a heap; a term cancelled while still
-    queued is skipped when it surfaces. Reduction only adds terms below the
-    popped one, so each term is settled once. This is the one loop that drops
-    a cancelled term itself rather than leaving it to the constructor: `work`
+
+def _packed_run(n: int, order: str, largest_exponent: int, run):
+    """run(codec), with fields wide enough for every monomial that run meets.
+
+    The first width holds largest_exponent with headroom; each overflow
+    reruns the whole call at double the width.
+    """
+    width = _field_width(largest_exponent)
+    while True:
+        try:
+            return run(_monomial_codec(n, order, width))
+        except _FieldOverflow:
+            width *= 2
+
+
+def _divisor(terms: dict, sign: int) -> tuple:
+    lead = min(terms)  # the smallest packed key is the largest monomial
+    return sign * lead, lead, terms[lead], tuple((u, c) for u, c in terms.items() if u != lead)
+
+
+def _pack_divisors(polys, codec) -> list[tuple]:
+    return [_divisor(codec.pack_terms(g.terms), codec.sign) for g in polys if not g.is_zero]
+
+
+def _monic_divisor(terms: dict, sign: int) -> tuple:
+    inverse = _exact_quotient(1, terms[min(terms)])
+    scaled = {}
+    for u, c in terms.items():
+        c *= inverse
+        scaled[u] = c if type(c) is int else _normalize(c)
+    return _divisor(scaled, sign)
+
+
+def _divisor_terms(divisor) -> tuple:
+    _, lead, coeff, tail = divisor
+    return (lead, coeff), *tail
+
+
+def _normal_form(terms: dict, divisors, codec, limits: ResourceLimits | None = None) -> dict:
+    """Remainder of the packed polynomial terms on division by the packed divisors.
+
+    The largest live term is popped from a heap of packed ints; a term
+    cancelled while still queued is skipped when it surfaces. Reduction only
+    adds terms below the popped one, so each term is settled once. `work`
     holds only live terms, a term is pushed only when it is absent from
     `work`, and one found absent when it surfaces is skipped, so a zero kept
     in `work` would be popped and reduced for nothing.
+
+    Each popped monomial is guard-checked before it is used (`_FieldOverflow`
+    if a field outgrew its width). With limits, `work` is checked against
+    max_terms after every reduction step and the remainder once at the end.
     """
-    heap_key = _descending_key(order)
-    divisors = list(zip(leads, basis))
-    work = dict(p.terms)
-    heap = [(heap_key(e), e) for e in work]
+    guard, sign = codec.guard, codec.sign
+    cap = inf if limits is None else limits.max_terms
+    work = dict(terms)
+    heap = list(work)
     heapify(heap)
-    remainder_terms: dict = {}
+    remainder: dict = {}
     while heap:
-        exps = heappop(heap)[1]
-        coeff = work.pop(exps, None)
+        m = heappop(heap)
+        coeff = work.pop(m, None)
         if coeff is None:
             continue
-        for lead, g in divisors:
-            if all(map(ge, exps, lead)):
-                quot = tuple(map(sub, exps, lead))
-                factor = _exact_quotient(coeff, g.terms[lead])
-                for e, c in g.terms.items():
-                    if e == lead:
-                        continue
-                    target = tuple(map(add, quot, e))
+        x = sign * m
+        if x & guard:
+            raise _FieldOverflow
+        for lead_x, lead, lead_coeff, tail in divisors:
+            if not (x - lead_x) & guard:
+                quot = m - lead
+                factor = -_exact_quotient(coeff, lead_coeff)
+                for e, c in tail:
+                    target = quot + e
                     acc = work.get(target)
                     if acc is None:
-                        work[target] = -factor * c
-                        heappush(heap, (heap_key(target), target))
+                        work[target] = factor * c
+                        heappush(heap, target)
                     else:
-                        acc -= factor * c
+                        acc += factor * c
                         if acc:
                             work[target] = acc
                         else:
                             del work[target]
+                if len(work) > cap:
+                    limits.check_terms(len(work))
                 break
         else:
-            remainder_terms[exps] = coeff
-    return SparsePolynomial(p.n, remainder_terms)
+            remainder[m] = coeff
+    if len(remainder) > cap:
+        limits.check_terms(len(remainder))
+    return remainder
 
 
-def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> SparsePolynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g, built term by term; the leading terms cancel."""
-    lf, lg = f.leading_exponents(order), g.leading_exponents(order)
-    lcm = tuple(map(max, lf, lg))
+def _s_polynomial(f, g, lcm: int) -> dict:
+    """lcm/lt(f) * f - lcm/lt(g) * g for packed divisors, built term by term; the leads cancel."""
     terms: dict = {}
-    for h, lead, sign in ((f, lf, 1), (g, lg, -1)):
-        shift = tuple(map(sub, lcm, lead))
-        factor = _exact_quotient(sign, h.terms[lead])
-        for e, c in h.terms.items():
-            if e != lead:
-                target = tuple(map(add, shift, e))
-                terms[target] = terms.get(target, 0) + factor * c
-    return SparsePolynomial(f.n, terms)
+    for (_, lead, lead_coeff, tail), sign in ((f, 1), (g, -1)):
+        shift = lcm - lead
+        factor = _exact_quotient(sign, lead_coeff)
+        for e, c in tail:
+            target = shift + e
+            terms[target] = terms.get(target, 0) + factor * c
+    return {u: c for u, c in terms.items() if c}
 
 
-def _s_pair_remainders(basis: list, order: str, limits: ResourceLimits):
-    """Yield the nonzero remainders of the S-pairs of basis, smallest lcm first.
+def _s_pair_remainders(basis: list, codec, limits: ResourceLimits):
+    """Yield the nonzero remainders of the S-pairs of the packed divisors in basis.
 
-    Pairs are queued by (degree of the lcm, order key of the lcm, (i, j)), the
-    normal strategy with degree as the sugar tie-break. A caller that appends
-    to basis before resuming has the new elements admitted too, and the
-    remainders that follow are taken modulo the grown basis. When the
-    generator is exhausted, basis is a Groebner basis.
+    Pairs are queued by (degree of the lcm, order of the lcm, (i, j)),
+    smallest lcm first: the normal strategy with degree as the sugar
+    tie-break. A caller that appends to basis before resuming has the new
+    elements admitted too, and the remainders that follow are taken modulo
+    the grown basis. When the generator is exhausted, basis is a Groebner
+    basis.
 
     Pairs whose S-polynomial is known to reduce to zero are pruned once, when
     an element h is admitted, by the update of Gebauer and Moeller (J. Symbolic
-    Comput. 6, 1988; Becker and Weispfenning, Groebner Bases, 1993, p. 230):
+    Comput. 6, 1988; Becker and Weispfenning, Groebner Bases, 1993, p. 230).
+    It works on each lead's variable fields F, the low bits of its exponent
+    form: lead(h) divides an lcm iff the guard test passes, `codec.lcm`
+    takes the per-field max of two F, and a pair is coprime iff that is
+    their sum.
 
     - B_k: a queued pair (i, j) dies if lead(h) divides its lcm and that lcm
       differs from both lcm(i, h) and lcm(j, h).
@@ -150,49 +238,49 @@ def _s_pair_remainders(basis: list, order: str, limits: ResourceLimits):
 
     The pop loop then only skips the pairs that died.
     """
-    key = order_key(order)
-    leads: list[Exponents] = []
+    guard, sign, low, lcm_of = codec.guard, codec.sign, codec.low, codec.lcm
+    fields: list[int] = []  # each lead's variable fields, F
     active: list[int] = []  # the elements that still form pairs
-    live: dict[tuple[int, int], Exponents] = {}  # queued pairs not pruned, with their lcm
+    live: dict[tuple[int, int], int] = {}  # queued pairs not pruned, with the F of their lcm
     queue: list = []
 
     def admit_new_elements():
-        for h in range(len(leads), len(basis)):
-            lh = basis[h].leading_exponents(order)
+        for h in range(len(fields), len(basis)):
+            fh = basis[h][0] & low
             for (i, j), lcm in list(live.items()):
                 if (
-                    all(map(ge, lcm, lh))
-                    and lcm != tuple(map(max, leads[i], lh))
-                    and lcm != tuple(map(max, leads[j], lh))
+                    not (lcm - fh) & guard
+                    and lcm != lcm_of(fields[i], fh)
+                    and lcm != lcm_of(fields[j], fh)
                 ):
                     del live[i, j]
-            degree = sum(lh)
             new = []
             for i in active:
-                lcm = tuple(map(max, leads[i], lh))
-                d = sum(lcm)
-                new.append((d, d != sum(leads[i]) + degree, i, lcm))
-            new.sort()  # a divisor sorts before its multiples, a coprime pair before its equals
-            minimal: list[Exponents] = []
-            for d, overlapping, i, lcm in new:
-                if any(all(map(ge, lcm, m)) for m in minimal):
+                lcm = lcm_of(fields[i], fh)
+                new.append((lcm, lcm != fields[i] + fh, i))
+            # a divisor has the smaller F, so it sorts before its multiples, and a coprime
+            # pair (its lcm is the product) before the other pairs with its lcm
+            new.sort()
+            minimal: list[int] = []
+            for lcm, overlapping, i in new:
+                if any(not (lcm - m) & guard for m in minimal):
                     continue
                 minimal.append(lcm)
                 if overlapping:
                     live[i, h] = lcm
-                    heappush(queue, (d, key(lcm), (i, h)))
-            active[:] = [i for i in active if not all(map(ge, leads[i], lh))]
+                    exps = codec.unpack(sign * lcm)
+                    heappush(queue, (sum(exps), -codec.pack(exps), (i, h)))
+            active[:] = [i for i in active if (fields[i] - fh) & guard]
             active.append(h)
-            leads.append(lh)
+            fields.append(fh)
 
     admit_new_elements()
     while queue:
-        i, j = heappop(queue)[2]
+        _, ascending_lcm, (i, j) = heappop(queue)
         if live.pop((i, j), None) is None:
             continue  # pruned after it was queued
-        s = _normal_form(_s_polynomial(basis[i], basis[j], order), basis, leads, order)
-        limits.check_terms(len(s.terms))
-        if not s.is_zero:
+        s = _normal_form(_s_polynomial(basis[i], basis[j], -ascending_lcm), basis, codec, limits)
+        if s:
             yield s
             admit_new_elements()
 
@@ -208,39 +296,38 @@ def buchberger(
     if any(g.n != n for g in gens):
         raise AmbientMismatchError("generators live in different rings")
 
-    basis: list[SparsePolynomial] = []
-    leads: list[Exponents] = []
-    for g in gens:
-        g = _normal_form(g, basis, leads, order)
-        if not g.is_zero:
-            basis.append(g.monic(order))
-            leads.append(basis[-1].leading_exponents(order))
+    def reduced_basis(codec):
+        basis: list[tuple] = []
+        for g in gens:
+            g = _normal_form(codec.pack_terms(g.terms), basis, codec, limits)
+            if g:
+                basis.append(_monic_divisor(g, codec.sign))
+        for s in _s_pair_remainders(basis, codec, limits):
+            basis.append(_monic_divisor(s, codec.sign))
+            limits.check_basis(len(basis))
+        reduced = _reduce_basis(basis, codec, limits)
+        return tuple(SparsePolynomial(n, codec.unpack_terms(_divisor_terms(d))) for d in reduced)
 
-    for s in _s_pair_remainders(basis, order, limits):
-        basis.append(s.monic(order))
-        limits.check_basis(len(basis))
-
-    return GroebnerBasis(tuple(_reduce_basis(basis, order)), order, n)
+    return GroebnerBasis(_packed_run(n, order, _largest_exponent(gens), reduced_basis), order, n)
 
 
-def _reduce_basis(basis, order: str) -> list[SparsePolynomial]:
-    key = order_key(order)
-    # minimal: drop generators whose lead is divisible by another's
-    basis = sorted(basis, key=lambda g: key(g.leading_exponents(order)))
+def _reduce_basis(basis, codec, limits: ResourceLimits) -> list[tuple]:
+    guard = codec.guard
+    # minimal: drop generators whose lead is divisible by another's, smallest lead first
+    basis = sorted(basis, key=itemgetter(1), reverse=True)
     minimal = []
     for g in basis:
-        lead = g.leading_exponents(order)
-        if any(_divides(h.leading_exponents(order), lead) for h in minimal):
+        if any(not (g[0] - h[0]) & guard for h in minimal):
             continue
         minimal.append(g)
     # reduced: take each generator's normal form against the others
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = _normal_form(g, others, _leads(others, order), order)
-        if not nf.is_zero:
-            reduced.append(nf.monic(order))
-    return sorted(reduced, key=lambda g: key(g.leading_exponents(order)), reverse=True)
+        nf = _normal_form(dict(_divisor_terms(g)), others, codec, limits)
+        if nf:
+            reduced.append(_monic_divisor(nf, codec.sign))
+    return sorted(reduced, key=itemgetter(1))  # largest lead first
 
 
 def ideal_contains(gb: GroebnerBasis, polys) -> bool:
@@ -497,5 +584,12 @@ def universal_gb_check(
 
 def _passes_buchberger_criterion(polys, order: str, limits: ResourceLimits) -> bool:
     """True iff polys is a Groebner basis: no S-pair leaves a nonzero remainder."""
-    remainders = _s_pair_remainders([g for g in polys if not g.is_zero], order, limits)
-    return next(remainders, None) is None
+    polys = [g for g in polys if not g.is_zero]
+    if not polys:
+        return True
+
+    def passes(codec):
+        remainders = _s_pair_remainders(_pack_divisors(polys, codec), codec, limits)
+        return next(remainders, None) is None
+
+    return _packed_run(polys[0].n, order, _largest_exponent(polys), passes)

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import AmbientMismatchError, ParseError
 
@@ -109,6 +109,75 @@ def order_key(tag: str):
     """
     descending = _descending_key(tag)
     return lambda e: tuple([-x for x in descending(e)])
+
+
+class _MonomialCodec:
+    """Exponent tuples of one (n, order) packed into Python ints, for the Groebner kernel.
+
+    Each variable gets a field of `width` bits, F = sum_i e_i << shift_i, with
+    the variable that the order compares first in the most significant field.
+    The top bit of every field is a guard bit, clear while the exponent is
+    below 2**(width - 1). Graded orders put the total degree D above the
+    K = n * width field bits. The order key, larger for a larger monomial, is
+    F for lex, D * 2**K + F for deglex and D * 2**K - F for degrevlex (ties go
+    to the smaller last-compared exponent). Every key is linear in the
+    exponents (Monagan and Pearce, CASC 2007), so
+
+    - a packed monomial u is the descending key -key(e): a min-heap of plain
+      ints pops the largest monomial first, and a product is one int add;
+    - the exponent form `sign * u` holds +F in its low K bits (`sign` is +1
+      for degrevlex, -1 otherwise), so lead divides m iff
+      `not sign * (m - lead) & guard`, and m has outgrown its fields iff
+      `sign * m & guard`.
+    """
+
+    __slots__ = ("width", "sign", "guard", "low", "_weights", "_shifts")
+
+    def __init__(self, n: int, order: str, width: int):
+        base, reverse_vars = _parse_order(order)
+        first_on_top = (base == "degrevlex") == reverse_vars  # x1 is the most significant field
+        self.width = width
+        self.sign = 1 if base == "degrevlex" else -1
+        self._shifts = [width * (n - 1 - i if first_on_top else i) for i in range(n)]
+        self.guard = sum(1 << (s + width - 1) for s in self._shifts)
+        self.low = (1 << n * width) - 1  # the field bits: F = exponent form & low
+        degree = 0 if base == "lex" else self.low + 1
+        # the packed unit monomials; packing is a dot product with them
+        self._weights = [self.sign * (1 << s) - degree for s in self._shifts]
+
+    def pack(self, exps: Exponents) -> int:
+        return sum(map(mul, exps, self._weights))
+
+    def unpack(self, u: int) -> Exponents:
+        f, field = self.sign * u, (1 << self.width) - 1
+        return tuple([f >> s & field for s in self._shifts])
+
+    def pack_terms(self, terms: dict) -> dict:
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms) -> dict:
+        unpack = self.unpack
+        return {unpack(u): c for u, c in terms}
+
+    def lcm(self, a: int, b: int) -> int:
+        """The per-field max of two F: a field of (a | guard) - b keeps its guard bit iff a >= b."""
+        keep = ((a | self.guard) - b) & self.guard
+        keep -= keep >> (self.width - 1)  # each kept guard bit becomes a mask of its field
+        return a & keep | b & ~keep
+
+
+@functools.cache
+def _monomial_codec(n: int, order: str, width: int) -> _MonomialCodec:
+    return _MonomialCodec(n, order, width)
+
+
+def _field_width(largest_exponent: int) -> int:
+    """The narrowest field width, 8 bits doubled as needed, that holds 8 times largest_exponent."""
+    width = 8
+    while largest_exponent >> (width - 4):
+        width *= 2
+    return width
 
 
 class SparsePolynomial:

@@ -55,8 +55,6 @@ from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
     _covering_chain,
-    _normal_form,
-    _s_polynomial,
     covering_certificate,
     ideal_contains,
     inclusion_by_certificates,
@@ -103,6 +101,7 @@ from bnspecht.varieties import (
     orbit_representative,
     orbit_set_nonempty,
 )
+from tuple_kernel import packed_normal_form, packed_s_polynomial
 
 SHAPES_UP_TO_6 = [(s, n) for n in range(1, 7) for s in enumerate_bipartitions(n)]
 
@@ -952,17 +951,22 @@ def term_dicts(min_size=0):
 @example({(2, 0): 1}, [{(1, 0): 3, (0, 0): -1}], "lex")
 @example({(1, 1): 1}, [{(1, 0): 2, (0, 0): 1}, {(0, 1): 3, (0, 0): 2}], "degrevlex")
 def test_normal_form_and_monic_match_the_fraction_route(p, basis, order):
+    def s_polynomials():
+        gens = [SparsePolynomial(2, d) for d in basis]
+        return [packed_s_polynomial(f, g, order) for f, g in itertools.combinations(gens, 2)]
+
     def build():
         gens = [SparsePolynomial(2, d) for d in basis]
-        leads = [g.leading_exponents(order) for g in gens]
         return (
-            _normal_form(SparsePolynomial(2, p), gens, leads, order),
+            packed_normal_form(SparsePolynomial(2, p), gens, order),
             [g.monic(order) for g in gens],
-            [_s_polynomial(f, g, order) for f, g in itertools.combinations(gens, 2)],
+            [SparsePolynomial(2, terms) for terms in s_polynomials()],
         )
 
     *_, s_polys = assert_matches_fraction_route(build, integral=False)
-    assert all(0 not in s.terms.values() for s in s_polys)
+    raw = s_polynomials()
+    assert [SparsePolynomial(2, terms) for terms in raw] == s_polys
+    assert all(0 not in terms.values() for terms in raw)
 
 
 def test_non_integral_quotients_stay_exact():
@@ -970,7 +974,7 @@ def test_non_integral_quotients_stay_exact():
     assert monic.terms == {(1,): 1, (0,): Fraction(1, 2)}
     assert [type(c) for c in monic.terms.values()] == [int, Fraction]
     basis = [parse_polynomial("3*x1 - 1", 1)]
-    remainder = _normal_form(parse_polynomial("x1^2", 1), basis, [(1,)], "lex")
+    remainder = packed_normal_form(parse_polynomial("x1^2", 1), basis, "lex")
     assert remainder.terms == {(0,): Fraction(1, 9)}
 
 

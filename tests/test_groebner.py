@@ -1,5 +1,10 @@
 """Tests for Buchberger machinery, ideal inclusions and covering certificates."""
 
+import hashlib
+import json
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,8 +102,10 @@ def test_reduce_is_idempotent_and_additive():
 def test_reduce_finds_the_leading_terms_once_per_basis(monkeypatch):
     gb = specht_ideal_basis(bp((1, 1), (1,)), 3)
     calls = []
-    original = groebner._leads
-    monkeypatch.setattr(groebner, "_leads", lambda *args: calls.append(args) or original(*args))
+    original = groebner._pack_divisors
+    monkeypatch.setattr(
+        groebner, "_pack_divisors", lambda *args: calls.append(args) or original(*args)
+    )
     polys = [p(text, 3) for text in ("x1^4*x2 - x3", "x1*x2*x3 + x2^2", "x1^2 - x2^2 + 1")]
     remainders = [reduce(q, gb) for q in polys]
     assert ideal_contains(gb, [q - r for q, r in zip(polys, remainders)])
@@ -118,6 +125,32 @@ def test_resource_limits_trip():
     gens = specht_generators(bp((1, 1), (2,)), 4)
     with pytest.raises(ResourceLimitExceeded):
         buchberger(gens, "lex", ResourceLimits(max_basis=2))
+
+
+def test_term_cap_holds_inside_the_inter_reduction():
+    """Reducing x1^30 by x1 - x2 - ... - x6 in lex builds 46,376 terms; the cap stops it early."""
+    gens = [p("x1 - x2 - x3 - x4 - x5 - x6", 6), p("x1^30", 6)]
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match="term count"):
+        buchberger(gens, "lex", ResourceLimits(max_terms=2000))
+    assert time.perf_counter() - start < 1
+
+
+def test_reduced_bases_match_the_recorded_bench_digests():
+    """Every n = 5 and n = 6 basis of the groebner-sweep benchmark, against its recorded digest."""
+    expected = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    prefix = "groebner-sweep/basis/"
+    pinned = {
+        key: digest
+        for key, digest in expected.items()
+        if key.startswith((prefix + "n5/", prefix + "n6/"))
+    }
+    for key, digest in pinned.items():
+        n, order, shape = key[len(prefix) :].split("/", 2)
+        gb = specht_ideal_basis(parse_bipartition(shape), int(n[1:]), order)
+        text = f"{gb.order} {gb.n}\n" + "\n".join(map(str, gb.generators))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, key
+    assert len(pinned) == 113
 
 
 def test_specht_ideal_contains_small_chain():

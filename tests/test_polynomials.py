@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from operator import add, ge
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,8 @@ from bnspecht.polynomials import (
     act,
     _descending_key,
     _exact_quotient,
+    _field_width,
+    _monomial_codec,
     act_point,
     order_key,
     parse_point,
@@ -348,3 +351,60 @@ def test_order_keys_match_reference_on_every_pair():
                 want = _cmp(reference(u), reference(v))
                 assert _cmp(key(u), key(v)) == want, (tag, u, v)
                 assert _cmp(descending(v), descending(u)) == want, (tag, u, v)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+@st.composite
+def packable(draw):
+    """(n, width, exponent tuples) with n <= 7 and every exponent below the guard bit."""
+    n = draw(st.integers(0, 7))
+    width = draw(st.integers(2, 12))
+    exps = st.tuples(*[st.integers(0, 2 ** (width - 1) - 1)] * n)
+    return n, width, draw(st.lists(exps, min_size=1, max_size=12))
+
+
+@given(packable())
+def test_packed_keys_sort_like_order_key(case):
+    n, width, exps = case
+    for tag in ORDER_TAGS:
+        codec = _monomial_codec(n, tag, width)
+        by_key = sorted(set(exps), key=order_key(tag), reverse=True)
+        assert sorted({codec.pack(e) for e in exps}) == [codec.pack(e) for e in by_key], tag
+
+
+@given(packable())
+def test_packing_round_trips_adds_and_takes_lcms(case):
+    n, width, exps = case
+    for tag in ORDER_TAGS:
+        codec = _monomial_codec(n, tag, width)
+        for a, b in zip(exps, exps[1:] + exps[:1]):
+            assert codec.unpack(codec.pack(a)) == a, tag
+            product = tuple(map(add, a, b))  # below 2**width: no field carries
+            assert codec.pack(a) + codec.pack(b) == codec.pack(product), tag
+            assert codec.unpack(codec.pack(product)) == product, tag
+            fa, fb = (codec.sign * codec.pack(e) & codec.low for e in (a, b))
+            assert codec.unpack(codec.sign * codec.lcm(fa, fb)) == tuple(map(max, a, b)), tag
+            assert bool(codec.sign * codec.pack(product) & codec.guard) == any(
+                x >> (width - 1) for x in product
+            ), tag
+
+
+@given(packable())
+def test_guard_test_is_divisibility(case):
+    n, width, exps = case
+    for tag in ORDER_TAGS:
+        codec = _monomial_codec(n, tag, width)
+        for lead in exps:
+            for m in exps:
+                divides = not codec.sign * (codec.pack(m) - codec.pack(lead)) & codec.guard
+                assert divides == all(map(ge, m, lead)), (tag, lead, m)
+
+
+def test_field_width_holds_eight_times_the_largest_exponent():
+    for largest in (0, 1, 15, 16, 4095, 4096, 70000, 2**40):
+        width = _field_width(largest)
+        assert 8 * largest < 2 ** (width - 1)
+        assert width == 8 or 8 * largest >= 2 ** (width // 2 - 1)
