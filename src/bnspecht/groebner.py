@@ -212,12 +212,13 @@ def _s_polynomial(f, g, lcm: int) -> dict:
 def _s_pair_remainders(basis: list, codec, limits: ResourceLimits):
     """Yield the nonzero remainders of the S-pairs of the packed divisors in basis.
 
-    Pairs are queued by (degree of the lcm, order of the lcm, (i, j)),
-    smallest lcm first: the normal strategy with degree as the sugar
-    tie-break. A caller that appends to basis before resuming has the new
-    elements admitted too, and the remainders that follow are taken modulo
-    the grown basis. When the generator is exhausted, basis is a Groebner
-    basis.
+    Pairs are queued by (order of the lcm, (i, j)), smallest lcm first: the
+    normal strategy. Graded orders compare degrees first anyway; under lex,
+    taking the lowest-degree lcm first instead can blow the coefficients up
+    (three generators in 3 variables ran past 60 s, against 0.3 s this way).
+    A caller that appends to basis before resuming has the new elements
+    admitted too, and the remainders that follow are taken modulo the grown
+    basis. When the generator is exhausted, basis is a Groebner basis.
 
     Pairs whose S-polynomial is known to reduce to zero are pruned once, when
     an element h is admitted, by the update of Gebauer and Moeller (J. Symbolic
@@ -268,15 +269,14 @@ def _s_pair_remainders(basis: list, codec, limits: ResourceLimits):
                 minimal.append(lcm)
                 if overlapping:
                     live[i, h] = lcm
-                    exps = codec.unpack(sign * lcm)
-                    heappush(queue, (sum(exps), -codec.pack(exps), (i, h)))
+                    heappush(queue, (-codec.pack(codec.unpack(sign * lcm)), (i, h)))
             active[:] = [i for i in active if (fields[i] - fh) & guard]
             active.append(h)
             fields.append(fh)
 
     admit_new_elements()
     while queue:
-        _, ascending_lcm, (i, j) = heappop(queue)
+        ascending_lcm, (i, j) = heappop(queue)
         if live.pop((i, j), None) is None:
             continue  # pruned after it was queued
         s = _normal_form(_s_polynomial(basis[i], basis[j], -ascending_lcm), basis, codec, limits)
