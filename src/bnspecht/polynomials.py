@@ -131,7 +131,7 @@ class _MonomialCodec:
       `sign * m & guard`.
     """
 
-    __slots__ = ("width", "sign", "guard", "low", "_weights", "_shifts")
+    __slots__ = ("width", "sign", "guard", "low", "_weights", "_shifts", "_degree_shift")
 
     def __init__(self, n: int, order: str, width: int):
         base, reverse_vars = _parse_order(order)
@@ -142,6 +142,7 @@ class _MonomialCodec:
         self.guard = sum(1 << (s + width - 1) for s in self._shifts)
         self.low = (1 << n * width) - 1  # the field bits: F = exponent form & low
         degree = 0 if base == "lex" else self.low + 1
+        self._degree_shift = None if base == "lex" else n * width
         # the packed unit monomials; packing is a dot product with them
         self._weights = [self.sign * (1 << s) - degree for s in self._shifts]
 
@@ -151,6 +152,14 @@ class _MonomialCodec:
     def unpack(self, u: int) -> Exponents:
         f, field = self.sign * u, (1 << self.width) - 1
         return tuple([f >> s & field for s in self._shifts])
+
+    def degree(self, u: int) -> int:
+        """Total degree of the packed monomial u: its degree field, or the sum of its fields."""
+        f = self.sign * u
+        if self._degree_shift is not None:
+            return -self.sign * (f >> self._degree_shift)
+        field = (1 << self.width) - 1
+        return sum([f >> s & field for s in self._shifts])
 
     def pack_terms(self, terms: dict) -> dict:
         pack = self.pack

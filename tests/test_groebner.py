@@ -101,15 +101,25 @@ def test_reduce_is_idempotent_and_additive():
 
 def test_reduce_finds_the_leading_terms_once_per_basis(monkeypatch):
     gb = specht_ideal_basis(bp((1, 1), (1,)), 3)
-    calls = []
+    calls, scanned = [], []
     original = groebner._pack_divisors
     monkeypatch.setattr(
         groebner, "_pack_divisors", lambda *args: calls.append(args) or original(*args)
     )
+    largest_exponent = groebner._largest_exponent
+
+    def scan(polys):
+        polys = tuple(polys)
+        scanned.extend(polys)
+        return largest_exponent(polys)
+
+    monkeypatch.setattr(groebner, "_largest_exponent", scan)
     polys = [p(text, 3) for text in ("x1^4*x2 - x3", "x1*x2*x3 + x2^2", "x1^2 - x2^2 + 1")]
     remainders = [reduce(q, gb) for q in polys]
     assert ideal_contains(gb, [q - r for q, r in zip(polys, remainders)])
     assert len(calls) == 1
+    # each reduce reads its own polynomial's exponents; the generators' are read once
+    assert len(scanned) == 6 + len(gb.generators)
     with pytest.raises(AmbientMismatchError):
         reduce(p("x1", 2), gb)
 

@@ -70,21 +70,41 @@ def test_buchberger_matches_sympy_on_random_ideals(ideal, tag):
     assert set(got) == expected
 
 
-def test_lex_pair_selection_keeps_the_coefficients_small():
-    """Taking the lowest-degree lcm first ran this lex-rev basis past 60 s; sympy needs 0.3 s."""
-    n = 3
-    gens = [
-        parse_polynomial(text, n)
-        for text in (
+# Under lex, taking the lowest-degree lcm first ran the first ideal's lex-rev basis past
+# 60 s, and the smallest lcm first (the normal strategy) ran the second's lex basis past
+# 60 s; the sugar strategy needs well under a second for each.
+BLOW_UP_IDEALS = [
+    (
+        3,
+        (
             "-3*x1*x2^2*x3^2 + 2*x1*x2^2 - 2*x2",
             "-x1^2*x2 - x1^2*x3 - 3*x1*x2^2*x3",
             "-3*x1^2*x2^2*x3^2 - 2*x1^2*x2*x3^2 + 2*x1*x2*x3",
-        )
-    ]
+        ),
+    ),
+    (
+        4,
+        (
+            "-x1^2*x2^2*x4^2 - x1^2*x2*x3^2",
+            "1/2*x1 + 1/2*x2^2*x3*x4^2 + 1/2*x2*x4",
+            "-x1^2*x2^2*x3*x4^2 - x2^2*x3^2*x4 - x3",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("tag", ["lex", "lex-rev"])
+@pytest.mark.parametrize("n, texts", BLOW_UP_IDEALS, ids=["n3", "n4"])
+def test_lex_pair_selection_keeps_the_coefficients_small(n, texts, tag):
+    gens = [parse_polynomial(text, n) for text in texts]
     xs = sympy.symbols(f"x1:{n + 1}")
-    oracle = sympy.groebner([to_sympy(g, xs) for g in gens], *xs[::-1], order="lex", domain=sympy.QQ)
+    ranked = xs[::-1] if tag == "lex-rev" else xs
+    # sympy's default normal strategy takes 85 s on the second ideal under lex
+    oracle = sympy.groebner(
+        [to_sympy(g, xs) for g in gens], *ranked, order="lex", domain=sympy.QQ, method="f5b"
+    )
     start = time.perf_counter()
-    got = buchberger(gens, "lex-rev").generators
+    got = buchberger(gens, tag).generators
     assert time.perf_counter() - start < 5
     assert set(got) == {from_sympy(g, xs) for g in oracle.exprs}
 

@@ -382,9 +382,11 @@ def test_packing_round_trips_adds_and_takes_lcms(case):
         codec = _monomial_codec(n, tag, width)
         for a, b in zip(exps, exps[1:] + exps[:1]):
             assert codec.unpack(codec.pack(a)) == a, tag
+            assert codec.degree(codec.pack(a)) == sum(a), tag
             product = tuple(map(add, a, b))  # below 2**width: no field carries
             assert codec.pack(a) + codec.pack(b) == codec.pack(product), tag
             assert codec.unpack(codec.pack(product)) == product, tag
+            assert codec.degree(codec.pack(product)) == sum(product), tag
             fa, fb = (codec.sign * codec.pack(e) & codec.low for e in (a, b))
             assert codec.unpack(codec.sign * codec.lcm(fa, fb)) == tuple(map(max, a, b)), tag
             assert bool(codec.sign * codec.pack(product) & codec.guard) == any(
