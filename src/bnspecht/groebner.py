@@ -224,8 +224,9 @@ def _s_pair_remainders(basis: list, sugars: list[int], codec, limits: ResourceLi
 
     Pairs are queued by (sugar, order of the lcm, (i, j)), smallest first: the
     sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991).
-    sugars holds the sugar of each element given in basis, its degree; a
-    remainder's sugar is the larger of its pair's sugar and its degree.
+    sugars holds the sugar of each element given in basis, its degree, and
+    grows with basis: a remainder's sugar is the larger of its pair's sugar
+    and its degree.
     A pair's sugar is deg(lcm) plus the larger excess of sugar over lead
     degree of its two elements. For homogeneous inputs, such as Specht
     ideals, that is the degree of the lcm. On other inputs under lex,
