@@ -1,4 +1,10 @@
-"""Command-line interface: every analysis as a reproducible batch command."""
+"""Command-line interface: every analysis as a reproducible batch command.
+
+Every run prints one JSON envelope through `_json_text`, usage errors
+included. A `variety` query's class rows and representatives are rendered to
+JSON text once per n (`_variety_rows`); each query selects its rows with one
+down-set bit test each and splices their text into its envelope.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,16 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
-from .errors import DEFAULT_LIMITS, BnSpechtError, ResourceLimitExceeded, ResourceLimits
+from .errors import (
+    DEFAULT_LIMITS,
+    BnSpechtError,
+    ResourceLimitExceeded,
+    ResourceLimits,
+    SizeMismatchError,
+)
 from .groebner import (
     covering_certificate,
     inclusion_by_certificates,
@@ -26,7 +39,7 @@ from .partitions import (
 )
 from .polynomials import parse_point, parse_polynomial
 from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
-from .varieties import bn_orbit_type, decomposition_report, sn_orbit_type
+from .varieties import _class_rows, _outside, _representative_rows, bn_orbit_type, sn_orbit_type
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -38,15 +51,20 @@ _ONLY_STR = frozenset([str])
 _ONLY_INT = frozenset([int])
 
 
+class _Json(str):
+    """JSON text, rendered at the indent where it lands, that `_json_text` splices in verbatim."""
+
+
 def _json_text(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2)` byte for byte, its lines after the first shifted by `indent`.
 
     The stdlib's `indent` turns off its C encoder. Here exact `str`, `int`,
     constant, list, tuple and `str`-keyed dict values are joined directly, and
-    a list of only `str` or only `int` items in one `map`. Any other value (a
-    float, a subclass, a dict with other keys) goes to the stdlib and is
-    shifted line by line, which is exact because the stdlib escapes every
-    newline inside a string.
+    a list of only `str` or only `int` items in one `map`. A `_Json` value is
+    returned as it is: `variety` renders its class rows through this function
+    once per n and splices them in. Any other value (a float, a subclass, a
+    dict with other keys) goes to the stdlib and is shifted line by line,
+    which is exact because the stdlib escapes every newline inside a string.
     """
     kind = type(value)
     if kind is str:
@@ -77,6 +95,8 @@ def _json_text(value, indent: str = "") -> str:
                 for key, item in value.items()
             ]
             return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if kind is _Json:
+        return value
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
@@ -124,6 +144,8 @@ def _cmd_specht(args) -> dict:
 def _cmd_ideal_inc(args) -> dict:
     a = parse_bipartition(args.a)
     b = parse_bipartition(args.b)
+    if a.size != args.n or b.size != args.n:
+        raise SizeMismatchError(f"shapes must have size {args.n}")
     limits = _limits(args)
     out = {"a": str(a), "b": str(b), "n": args.n, "method": args.method}
     if args.method == "groebner":
@@ -140,11 +162,37 @@ def _cmd_ideal_inc(args) -> dict:
     return out
 
 
+_ROW_INDENT = " " * 6  # a class row's depth in the ok envelope: payload, list, row
+
+
+@cache
+def _variety_rows(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The JSON text of each class row and of its representative, in `_class_rows(n)` order.
+
+    Rendered once per n by `_json_text`, at the indent where `_cmd_variety`
+    splices them, so its output equals `decomposition_report`'s byte for byte.
+    """
+    classes = tuple(_json_text(dict(fields), _ROW_INDENT) for _, _, fields in _class_rows(n))
+    representatives = tuple(_json_text(coords, _ROW_INDENT) for coords in _representative_rows(n))
+    return classes, representatives
+
+
+def _spliced_rows(rows) -> _Json:
+    body = f",\n{_ROW_INDENT}".join(rows)
+    return _Json(f"[\n{_ROW_INDENT}{body}\n    ]" if body else "[]")
+
+
 def _cmd_variety(args) -> dict:
     shape = parse_bipartition(args.shape)
     if shape.size != args.n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {args.n}")
-    return decomposition_report(shape)
+    keep = _outside(shape)
+    classes, representatives = _variety_rows(args.n)
+    return {
+        "bipartition": str(shape),
+        "classes": _spliced_rows(compress(classes, keep)),
+        "representatives": _spliced_rows(compress(representatives, keep)),
+    }
 
 
 def _cmd_orbit_type(args) -> dict:
@@ -180,9 +228,16 @@ def _cmd_rank_bound(args) -> dict:
     return {"shape": str(shape), "n": args.n, "rank_bound": rank_bound(shape, args.n)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so that `run` prints them as rejected input."""
+
+    def error(self, message):
+        raise BnSpechtError(f"{self.prog}: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bnspecht")
+    parser = _Parser(prog="bnspecht")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis)
     common.add_argument("--max-terms", type=int, default=DEFAULT_LIMITS.max_terms)
@@ -250,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.func(args)
     except ResourceLimitExceeded as exc:
         print(_json_text({"status": "resource-exceeded", "error": str(exc)}))

@@ -2,8 +2,10 @@
 
 The nonempty orbit classes of size n, their positions in `hasse_diagram(n)`,
 their JSON fields and their representatives are tabulated once per n, so a
-decomposition is one bit test per class against the shape's down-set. Every
-report is built afresh from those tables; none of its dicts or lists is shared.
+decomposition is one bit test per class against the shape's down-set
+(`_outside`). Every report is built afresh from those tables; none of its
+dicts or lists is shared. The CLI renders each table row's JSON text once per
+n from the same tables and splices the selected rows into its output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .errors import EmptyOrbitError, SizeMismatchError
 from .partitions import (
@@ -133,14 +135,24 @@ def _representative_rows(n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(map(str, orbit_representative(shape))) for shape in _nonempty_classes(n))
 
 
+def _outside(shape: Bipartition) -> list[bool]:
+    """For each row of `_class_rows(shape.size)`, whether the shape fails to bidominate its class.
+
+    One bit test of the shape's down-set per row; `itertools.compress` with this
+    mask selects the decomposition's rows from any table in the same order.
+    """
+    below = hasse_diagram(shape.size).down_set(shape)
+    return [not below >> v & 1 for v, _, _ in _class_rows(shape.size)]
+
+
 def decompose_variety(shape: Bipartition) -> list[OrbitClass]:
     """Nonempty orbit classes whose type is not bidominated by the shape.
 
     The classes are tabulated once per n; a query tests one bit of the shape's
     down-set per class and returns a new list of the shared, frozen classes.
     """
-    below = hasse_diagram(shape.size).down_set(shape)
-    return [orbit_class for v, orbit_class, _ in _class_rows(shape.size) if not below >> v & 1]
+    rows = compress(_class_rows(shape.size), _outside(shape))
+    return [orbit_class for _, orbit_class, _ in rows]
 
 
 def decomposition_report(shape: Bipartition) -> dict:
@@ -150,13 +162,15 @@ def decomposition_report(shape: Bipartition) -> dict:
     list in the report is built afresh, so a caller may mutate it freely.
     """
     n = shape.size
-    below = hasse_diagram(n).down_set(shape)
-    classes, representatives = [], []
-    for (v, _, fields), coords in zip(_class_rows(n), _representative_rows(n)):
-        if not below >> v & 1:
-            classes.append({key: list(val) if type(val) is tuple else val for key, val in fields})
-            representatives.append(list(coords))
-    return {"bipartition": str(shape), "classes": classes, "representatives": representatives}
+    keep = _outside(shape)
+    return {
+        "bipartition": str(shape),
+        "classes": [
+            {key: list(val) if type(val) is tuple else val for key, val in fields}
+            for _, _, fields in compress(_class_rows(n), keep)
+        ],
+        "representatives": [list(coords) for coords in compress(_representative_rows(n), keep)],
+    }
 
 
 # ---------------------------------------------------------------------------

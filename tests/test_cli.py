@@ -168,6 +168,52 @@ def test_rejected_input_exit_code(capsys):
     assert code == EXIT_REJECTED
 
 
+@pytest.mark.parametrize("method", ["groebner", "certificate"])
+def test_ideal_inclusion_checks_the_sizes_before_either_method(capsys, method):
+    argv = ("ideal-inc", "--a", "((1,1),())", "--b", "((2),())", "--n", "5", "--method", method)
+    code, out = invoke(capsys, *argv)
+    assert code == EXIT_REJECTED
+    assert json.loads(out) == {"status": "rejected-input", "error": "shapes must have size 5"}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("variety", "--shape", "((1),())"),
+            "bnspecht variety: the following arguments are required: --n",
+        ),
+        (("poset", "--n", "x"), "bnspecht poset: argument --n: invalid int value: 'x'"),
+        (
+            ("frob",),
+            "bnspecht: argument command: invalid choice: 'frob' (choose from 'poset', 'order', "
+            "'specht', 'ideal-inc', 'variety', 'orbit-type', 'gamma', 'certify-cover', "
+            "'conjecture', 'rank-bound')",
+        ),
+        (
+            ("ideal-inc", "--a", "((1),())", "--b", "((1),())", "--n", "1", "--method", "sat"),
+            "bnspecht ideal-inc: argument --method: invalid choice: 'sat' "
+            "(choose from 'groebner', 'certificate')",
+        ),
+        (("poset", "--n", "2", "--extra"), "bnspecht: unrecognized arguments: --extra"),
+        ((), "bnspecht: the following arguments are required: command"),
+    ],
+    ids=["missing", "not-an-int", "subcommand", "choice", "unrecognized", "empty"],
+)
+def test_usage_errors_are_rejected_input(capsys, argv, error):
+    code, out = invoke(capsys, *argv)
+    assert code == EXIT_REJECTED
+    assert json.loads(out) == {"status": "rejected-input", "error": error}
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_exits_zero_with_the_usage(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(["variety", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bnspecht variety")
+
+
 def test_non_ascii_digits_are_rejected_with_their_position(capsys):
     code, out = invoke(capsys, "order", "--a", "((\u00b2),())", "--b", "((1),())")
     assert code == EXIT_REJECTED
@@ -364,6 +410,7 @@ ENVELOPES = [
     ("rejected-non-ascii", ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"), EXIT_REJECTED),
     ("rejected-digit", ("order", "--a", "((\u00b2),())", "--b", "((1),())"), EXIT_REJECTED),
     ("resource", IDEAL_INC + ("--max-basis", "2"), EXIT_RESOURCE),
+    ("usage", ("variety", "--shape", "((1),())"), EXIT_REJECTED),
 ]
 
 
@@ -390,8 +437,9 @@ def module_env():
         ("poset", "--n", "3"),
         ("variety", "--shape", "((1,1),(2))", "--n", "4"),
         ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"),
+        ("variety", "--shape", "((1),())"),
     ],
-    ids=["poset", "variety", "rejected"],
+    ids=["poset", "variety", "rejected", "usage"],
 )
 def test_the_module_prints_what_run_prints(capsys, argv):
     start = time.perf_counter()
@@ -404,4 +452,6 @@ def test_the_module_prints_what_run_prints(capsys, argv):
     elapsed = time.perf_counter() - start
     code, out = invoke(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+    status = {EXIT_OK: "ok", EXIT_REJECTED: "rejected-input"}[code]
+    assert json.loads(proc.stdout)["status"] == status
     assert elapsed < 1, f"{argv[0]} took {elapsed:.2f} s"

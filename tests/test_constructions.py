@@ -50,7 +50,7 @@ from bnspecht.errors import (
     ResourceLimits,
     SizeMismatchError,
 )
-from bnspecht import groebner, invariants, partitions, polynomials, varieties
+from bnspecht import cli, groebner, invariants, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
@@ -466,6 +466,14 @@ def test_variety_outputs_match_the_recorded_n10_digests():
     assert len(shapes) == 481
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_variety_outputs_print_the_report_envelope(n, capsys):
+    for shape in enumerate_bipartitions(n):
+        assert run(["variety", "--shape", str(shape), "--n", str(n)]) == 0
+        expected = _json_text({"status": "ok", "payload": decomposition_report(shape)}) + "\n"
+        assert capsys.readouterr().out == expected, shape
+
+
 FRESH_DECOMPOSITION = """
 import json, sys
 from bnspecht.partitions import parse_bipartition
@@ -759,6 +767,36 @@ def test_one_n_tabulates_its_classes_once(monkeypatch):
     assert {c.bipartition for c in rendered} <= classes
     assert len(set(represented)) == len(represented) <= len(classes)
     assert set(represented) <= classes
+
+
+def test_one_n_renders_its_class_rows_once(monkeypatch, capsys):
+    varieties._class_rows.cache_clear()
+    varieties._representative_rows.cache_clear()
+    cli._variety_rows.cache_clear()
+    rendered = []
+    json_text = cli._json_text
+
+    def recording(value, indent=""):
+        rendered.append(value)
+        return json_text(value, indent)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    shapes = (bp((), (1, 1, 1, 1, 1)), bp((1,), (1, 1, 1, 1)))  # 18 and 16 of the 19 rows
+    for shape in shapes:
+        assert run(["variety", "--shape", str(shape), "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    assert out == "".join(
+        _json_text({"status": "ok", "payload": decomposition_report(shape)}) + "\n"
+        for shape in shapes
+    )
+    rows = len(varieties._class_rows(5))
+    class_dicts = [v for v in rendered if type(v) is dict and "nonempty" in v]
+    representatives = [
+        v for v in rendered if type(v) in (list, tuple) and v and all(type(c) is str for c in v)
+    ]
+    assert len(decompose_variety(shapes[0])) <= len(class_dicts) <= rows
+    assert len(decompose_variety(shapes[0])) <= len(representatives) <= rows
 
 
 @pytest.mark.parametrize("n", range(8))
