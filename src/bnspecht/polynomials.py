@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .errors import AmbientMismatchError, ParseError
 
@@ -59,14 +59,19 @@ class Monomial:
         return {i + 1: e for i, e in enumerate(self.exps) if e}
 
     def divides(self, other: "Monomial") -> bool:
+        if len(self.exps) != len(other.exps):
+            raise AmbientMismatchError(f"ambient mismatch: {len(self.exps)} vs {len(other.exps)}")
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def __str__(self):
-        if not any(self.exps):
-            return "1"
-        return "*".join(
-            f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(self.exps) if e
-        )
+        return _monomial_text(self.exps)
+
+
+def _monomial_text(exps: Exponents) -> str:
+    """x1^2*x3 for (2, 0, 1), and 1 when every exponent is zero."""
+    if not any(exps):
+        return "1"
+    return "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,7 @@ class SparsePolynomial:
         pieces = []
         for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
-            mono = str(Monomial(exps))
+            mono = _monomial_text(exps)
             if mono == "1":
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -423,6 +428,55 @@ def _permutation_signs(h: int) -> tuple[int, ...]:
     return tuple(_permutation_sign(base, p) for p in itertools.permutations(base))
 
 
+def _column_product(columns, step: int, head=()) -> list[tuple[Exponents, int]]:
+    """prod over columns of the column Vandermondes, in slot order: (exponents, sign) pairs.
+
+    Every term starts with the fixed exponents head, one per slot, and each
+    column then adds h slots. A column is the tuple (o_1, ..., o_h) of its
+    slots' odd offsets and stands for the Vandermonde
+    sum_pi sgn(pi) prod_b y_b^(step*(h-1-pi(b)) + o_b) in its slots y_1..y_h:
+    itertools.permutations of its powers, zipped with `_permutation_signs(h)`.
+    The prod h! terms are distinct, with int signs +-1.
+    """
+    terms = [(tuple(head), 1)]
+    for offsets in columns:
+        h = len(offsets)
+        if h < 2:
+            table = [(offsets, 1)]
+        elif offsets.count(offsets[0]) == h:
+            powers = [step * (h - 1 - a) + offsets[0] for a in range(h)]
+            table = list(zip(itertools.permutations(powers), _permutation_signs(h)))
+        else:  # a partly odd column
+            powers = [step * (h - 1 - a) for a in range(h)]
+            table = [
+                (tuple(map(add, p, offsets)), s)
+                for p, s in zip(itertools.permutations(powers), _permutation_signs(h))
+            ]
+        terms = [(e + f, s * t) for e, s in terms for f, t in table]
+    return terms
+
+
+def _gather(index):
+    """The function reading the items at index out of a tuple, as a tuple."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    # itemgetter returns a bare item for one index and raises for none
+    return lambda e: tuple([e[k] for k in index])
+
+
+def _scatter(n: int, terms, slots) -> SparsePolynomial:
+    """The polynomial sum sign * x^e over slot-order terms (e, sign) of `_column_product`.
+
+    slots[k] is the 1-based variable that slot k fills. A variable that no
+    slot names reads the slot named 0, which must hold exponent 0 in every
+    term. One gather per term puts the slots in variable order.
+    """
+    position = {v: k for k, v in enumerate(slots)}
+    zero = position.get(0)
+    gather = _gather([position.get(i, zero) for i in range(1, n + 1)])
+    return SparsePolynomial(n, {gather(e): s for e, s in terms})
+
+
 def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     """prod over columns of prod_{a<b} (x_{c_a}^step - x_{c_b}^step), times prod_{k in odd} x_k.
 
@@ -430,31 +484,28 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     sum_sigma sgn(sigma) prod_a x_{c_sigma(a)}^(step*(h-a)). The columns use
     disjoint variables, so their product is a sum over the column group
     prod S_h whose prod h! terms are distinct monomials with int coefficient +-1,
-    built here without any polynomial multiplication.
+    built here without any polynomial multiplication: `_column_product` lists
+    them in slot order, the column entries one slot each, and `_scatter` moves
+    each term's slots to its variables. An odd variable in a column is an
+    offset of its slot; the others, and a zero slot for any variable in
+    neither, lead every term.
     """
     flat = [i for col in columns for i in col]
-    if len(set(flat)) != len(flat):
+    in_columns = set(flat)
+    if len(in_columns) != len(flat):
         raise ValueError(f"repeated index in Vandermonde columns {list(columns)}")
-    base = [0] * n
+    extra = {}  # odd variable -> its multiplicity
     for k in odd:
-        _check_index(n, k)
-        base[k - 1] += 1
-    terms = [(tuple(base), 1)]
-    for col in columns:
-        h = len(col)
-        if h < 2:
-            continue
-        for i in col:
-            _check_index(n, i)
-        powers = [step * (h - 1 - a) for a in range(h)]
-        shifts = []
-        for sign, image in zip(_permutation_signs(h), itertools.permutations(col)):
-            delta = [0] * n
-            for i, e in zip(image, powers):
-                delta[i - 1] = e
-            shifts.append((tuple(delta), sign))
-        terms = [(tuple(map(add, e, d)), s * t) for e, s in terms for d, t in shifts]
-    return SparsePolynomial(n, dict(terms))
+        extra[k] = extra.get(k, 0) + 1
+    for i in itertools.chain(extra, flat):
+        _check_index(n, i)
+    slots = [k for k in extra if k not in in_columns]
+    head = [extra[k] for k in slots]
+    if len(slots) + len(flat) < n:
+        slots.append(0)
+        head.append(0)
+    offsets = [tuple([extra.get(i, 0) for i in col]) for col in columns]
+    return _scatter(n, _column_product(offsets, step, head), slots + flat)
 
 
 def _check_index(n: int, i: int):
@@ -555,9 +606,10 @@ def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
         source = list(range(p.n))  # sigma(x^e) has exponent e[source[k]] at position k
         for src, dst in zip(domain, image):
             source[dst - 1] = src - 1
+        gather = _gather(source)
         sign = _permutation_sign(domain, image)
         for exps, coeff in p.terms.items():
-            key = tuple(map(exps.__getitem__, source))
+            key = gather(exps)
             terms[key] = terms.get(key, 0) + sign * coeff
     return SparsePolynomial(p.n, terms)
 

@@ -10,7 +10,7 @@ from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
 from .partitions import Bipartition, Partition, conjugate, glue
-from .polynomials import SparsePolynomial, _column_expansion
+from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter
 
 
 @dataclass(frozen=True)
@@ -171,20 +171,24 @@ def specht_generators(
     polynomials. Each assignment is enumerated once: a combination of the
     remaining entries per column, with equal-height columns of one tableau in
     increasing order. Output follows the sorted (first, second) column sets.
-    Ascending columns put every polynomial's lex-leading term at the identity
-    of the column group, with coefficient +1, so each comes out sign-normalized.
+    Every generator is the same column product with other variables in its
+    slots, so `_column_product` builds it once in slot order (the columns in
+    height order, the second tableau's odd), and each assignment scatters it
+    onto its column entries. Ascending columns put every polynomial's
+    lex-leading term at the identity of the column group, with coefficient
+    +1, so each comes out sign-normalized.
     """
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
-    left_heights = conjugate(shape.left).parts
-    heights = left_heights + conjugate(shape.right).parts
+    left_heights, right_heights = conjugate(shape.left).parts, conjugate(shape.right).parts
+    heights = left_heights + right_heights
     split = len(left_heights)
     limits.check_terms(prod(factorial(h) for h in heights))
     keys = []
 
     def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
         if k == len(heights):
-            keys.append((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))))
+            keys.append(((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))), chosen))
             return
         after_equal = k not in (0, split) and heights[k - 1] == heights[k]
         for col in itertools.combinations(remaining, heights[k]):
@@ -194,10 +198,10 @@ def specht_generators(
             assign(k + 1, rest, chosen + [col])
 
     assign(0, tuple(range(1, n + 1)), [])
-    return [
-        _column_expansion(n, first + second, 2, [e for col in second for e in col])
-        for first, second in sorted(keys)
-    ]
+    keys.sort()
+    odd = [(0,) * h for h in left_heights] + [(1,) * h for h in right_heights]
+    product = _column_product(odd, 2)
+    return [_scatter(n, product, [e for col in chosen for e in col]) for _, chosen in keys]
 
 
 # ---------------------------------------------------------------------------

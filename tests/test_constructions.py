@@ -80,6 +80,7 @@ from bnspecht.polynomials import (
     SignedPermutation,
     SparsePolynomial,
     _alternating_sum,
+    _column_expansion,
     _permutation_sign,
     act,
     parse_polynomial,
@@ -584,6 +585,29 @@ def test_generators_match_the_permutation_walk(shape, n):
     assert specht_generators(shape, n) == permutation_walk_generators(shape, n)
 
 
+def key_by_key_generators(shape, n):
+    """One `_column_expansion` per sorted column-set key, the keys from all n! relabellings."""
+    ref = reference_bitableau(shape, n)
+    keys = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        relabel = lambda cols: tuple(sorted(tuple(sorted(perm[e - 1] for e in c)) for c in cols))
+        keys.add((relabel(ref.first.columns()), relabel(ref.second.columns())))
+    return [
+        _column_expansion(n, first + second, 2, [e for col in second for e in col])
+        for first, second in sorted(keys)
+    ]
+
+
+@pytest.mark.parametrize("shape,n", SHAPES_UP_TO_6, ids=str)
+def test_generators_match_one_expansion_per_key(shape, n):
+    generators = specht_generators(shape, n)
+    expected = key_by_key_generators(shape, n)
+    assert len(generators) == len(expected)
+    for got, want in zip(generators, expected):
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
+
+
 def test_chain_lengths_match_the_chain_walk():
     for n in range(1, 8):
         diagram = hasse_diagram(n)
@@ -699,6 +723,31 @@ def test_alternating_sum_in_one_variable():
         images = list(itertools.permutations(domain))
         assert _alternating_sum(p, domain, images) == explicit_alternating_sum(p, domain, images)
         assert _alternating_sum(p, domain, images) == p
+
+
+@st.composite
+def alternating_cases(draw):
+    """(p, domain, images): int and a/b coefficients in 1 to 5 variables, some of the images."""
+    n = draw(st.integers(1, 5))
+    coefficients = st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    )
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficients, max_size=6))
+    domain = tuple(draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))])
+    images = list(itertools.permutations(domain))
+    chosen = draw(st.lists(st.sampled_from(images), max_size=len(images), unique=True))
+    return SparsePolynomial(n, terms), domain, chosen if draw(st.booleans()) else images
+
+
+@settings(deadline=None, max_examples=150)
+@given(alternating_cases())
+@example((parse_polynomial("x1*x2 - 1/2*x3^2", 3), (1, 2), [(1, 2), (2, 1)]))  # cancels
+@example((parse_polynomial("2/3*x1^2*x2 + 5", 2), (1, 2), [(2, 1)]))
+def test_alternating_sum_matches_the_signed_action_sum(case):
+    p, domain, images = case
+    total = _alternating_sum(p, domain, images)
+    assert total == explicit_alternating_sum(p, domain, images)
+    assert 0 not in total.terms.values()
 
 
 def test_alternating_sum_of_a_monomial_is_a_vandermonde():

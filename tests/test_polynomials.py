@@ -1,11 +1,12 @@
 """Tests for the exact polynomial engine and the signed-permutation action."""
 
+import itertools
 import time
 from fractions import Fraction
 from operator import add, ge
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bnspecht.errors import AmbientMismatchError, ParseError
@@ -15,6 +16,7 @@ from bnspecht.polynomials import (
     SignedPermutation,
     SparsePolynomial,
     act,
+    _column_expansion,
     _descending_key,
     _exact_quotient,
     _field_width,
@@ -47,6 +49,11 @@ def test_monomial_basics():
     assert str(Monomial((0, 0, 0))) == "1"
     assert Monomial((1, 0, 0)).divides(Monomial((2, 1, 0)))
     assert not Monomial((0, 2, 0)).divides(Monomial((2, 1, 0)))
+
+
+def test_divides_rejects_a_different_ambient():
+    with pytest.raises(AmbientMismatchError):
+        Monomial((1, 0)).divides(Monomial((1,)))
 
 
 def test_order_keys_disagree_where_expected():
@@ -410,3 +417,60 @@ def test_field_width_holds_eight_times_the_largest_exponent():
         width = _field_width(largest)
         assert 8 * largest < 2 ** (width - 1)
         assert width == 8 or 8 * largest >= 2 ** (width // 2 - 1)
+
+
+# ---------------------------------------------------------------------------
+# the column expansion
+
+
+def test_single_entry_columns_check_their_index():
+    with pytest.raises(AmbientMismatchError):
+        vandermonde(3, [7])
+    with pytest.raises(AmbientMismatchError):
+        vandermonde_squares(2, [9])
+    assert vandermonde(3, [2]) == SparsePolynomial.constant(3, 1)
+
+
+def product_expansion(n, columns, step, odd):
+    """The binomials x_a^step - x_b^step of every column and the odd variables, multiplied out."""
+    result = SparsePolynomial.constant(n, 1)
+    for col in columns:
+        for a, b in itertools.combinations(col, 2):
+            result = result * (
+                SparsePolynomial.variable(n, a, step) - SparsePolynomial.variable(n, b, step)
+            )
+    for k in odd:
+        result = result * SparsePolynomial.variable(n, k)
+    return result
+
+
+@st.composite
+def expansions(draw):
+    """(n, columns, step, odd): disjoint columns, empty and single-entry ones included,
+    over a shuffled subset of x1..xn, and odd indices with repeats anywhere in 1..n."""
+    n = draw(st.integers(0, 6))
+    entries = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    columns = []
+    while entries:
+        h = draw(st.integers(1, min(len(entries), 4)))
+        columns.append(tuple(entries[:h]))
+        entries = entries[h:]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), ())
+    odd = draw(st.lists(st.integers(1, n), max_size=4)) if n else []
+    return n, columns, draw(st.sampled_from((1, 2))), odd
+
+
+@given(expansions())
+@example((0, [], 1, []))
+@example((0, [()], 2, []))
+@example((1, [(1,)], 2, [1]))
+@example((1, [], 1, [1, 1]))
+@example((5, [(1, 3, 4), (2,)], 2, [1, 3, 4]))  # the odd set covers a whole column
+@example((5, [(1, 3, 4), (2,)], 2, [3]))  # part of a column
+@example((6, [(2, 5), (), (1, 3)], 1, [4, 6, 6, 5, 2]))  # outside every column, x6 twice
+def test_column_expansion_is_the_product_of_its_binomials(case):
+    n, columns, step, odd = case
+    expanded = _column_expansion(n, columns, step, odd)
+    assert expanded == product_expansion(n, columns, step, odd)
+    assert all(type(c) is int for c in expanded.terms.values())
