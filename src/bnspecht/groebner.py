@@ -1,9 +1,11 @@
 """Buchberger machinery, Specht-ideal inclusions and covering certificates.
 
-Every Groebner computation (`buchberger`, `reduce`, the universal-basis
-check and radical membership) runs on one private kernel over packed
-monomials (Monagan and Pearce, CASC 2007). `polynomials._MonomialCodec`
-lays an exponent tuple out as one Python int:
+Every Groebner computation (`buchberger`, `reduce`, Specht-ideal inclusion,
+radical membership and the universal-basis check) runs on one private kernel
+over packed monomials (Monagan and Pearce, CASC 2007). One growth core,
+`_grown_basis`, serves `buchberger` and both membership predicates, which
+stop it as soon as their answer is known. `polynomials._MonomialCodec` lays
+an exponent tuple out as one Python int:
 
 - each variable has a field of w bits whose top bit is a guard bit, with
   the variable the order compares first in the most significant field;
@@ -47,7 +49,7 @@ from .polynomials import (
     _parse_order,
     vandermonde_squares,
 )
-from .tableaux import reference_bitableau, specht_generators, specht_polynomial_bn
+from .tableaux import _specht_degree, reference_bitableau, specht_generators, specht_polynomial_bn
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,13 @@ class GroebnerBasis:
         return _largest_exponent(self.generators)
 
 
-def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
-    """Normal form of p modulo the basis; p itself modulo the zero ideal (no generators)."""
+def reduce(
+    p: SparsePolynomial, gb: GroebnerBasis, limits: ResourceLimits = DEFAULT_LIMITS
+) -> SparsePolynomial:
+    """Normal form of p modulo the basis; p itself modulo the zero ideal (no generators).
+
+    The work and the remainder are held to limits.max_terms.
+    """
     if not gb.generators:
         return p
     if p.n != gb.n:
@@ -87,7 +94,7 @@ def reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
         divisors = gb._packed_divisors.get(codec.width)
         if divisors is None:
             divisors = gb._packed_divisors[codec.width] = _pack_divisors(gb.generators, codec)
-        terms = _normal_form(codec.pack_terms(p.terms), divisors, codec)
+        terms = _normal_form(codec.pack_terms(p.terms), divisors, codec, limits)
         return SparsePolynomial(p.n, codec.unpack_terms(terms.items()))
 
     largest = max(_largest_exponent((p,)), gb._largest_generator_exponent)
@@ -219,7 +226,9 @@ def _s_polynomial(f, g, lcm: int) -> dict:
     return {u: c for u, c in terms.items() if c}
 
 
-def _s_pair_remainders(basis: list, sugars: list[int], codec, limits: ResourceLimits):
+def _s_pair_remainders(
+    basis: list, sugars: list[int], codec, limits: ResourceLimits, max_sugar: float = inf
+):
     """Yield the nonzero remainders of the S-pairs of the packed divisors in basis.
 
     Pairs are queued by (sugar, order of the lcm, (i, j)), smallest first: the
@@ -236,6 +245,14 @@ def _s_pair_remainders(basis: list, sugars: list[int], codec, limits: ResourceLi
     A caller that appends to basis before resuming has the new elements
     admitted too, and the remainders that follow are taken modulo the grown
     basis. When the generator is exhausted, basis is a Groebner basis.
+
+    The generator returns at the first popped pair whose sugar exceeds
+    max_sugar. No later pair has a smaller sugar: a remainder's sugar is at
+    least its pair's, and each pair it forms has at least its sugar. For
+    homogeneous inputs the pairs left then all have lcms of degree above
+    max_sugar, and basis is a Groebner basis up to that degree (Becker and
+    Weispfenning, Groebner Bases, 1993, sec. 10.2): it reduces to zero every
+    member of the ideal of degree at most max_sugar.
 
     Pairs whose S-polynomial is known to reduce to zero are pruned once, when
     an element h is admitted, by the update of Gebauer and Moeller (J. Symbolic
@@ -302,6 +319,8 @@ def _s_pair_remainders(basis: list, sugars: list[int], codec, limits: ResourceLi
     admit_new_elements()
     while queue:
         pair_sugar, ascending_lcm, (i, j) = heappop(queue)
+        if pair_sugar > max_sugar:
+            return
         if live.pop((i, j), None) is None:
             continue  # pruned after it was queued
         s = _normal_form(_s_polynomial(basis[i], basis[j], -ascending_lcm), basis, codec, limits)
@@ -322,20 +341,33 @@ def buchberger(
         raise AmbientMismatchError("generators live in different rings")
 
     def reduced_basis(codec):
-        basis: list[tuple] = []
-        sugars: list[int] = []
-        for g in gens:
-            nf = _normal_form(codec.pack_terms(g.terms), basis, codec, limits)
-            if nf:
-                basis.append(_monic_divisor(nf, codec.sign))
-                sugars.append(_degree(g))
-        for s in _s_pair_remainders(basis, sugars, codec, limits):
-            basis.append(_monic_divisor(s, codec.sign))
-            limits.check_basis(len(basis))
-        reduced = _reduce_basis(basis, codec, limits)
+        reduced = _reduce_basis(list(_grown_basis(gens, codec, limits)), codec, limits)
         return tuple(SparsePolynomial(n, codec.unpack_terms(_divisor_terms(d))) for d in reduced)
 
     return GroebnerBasis(_packed_run(n, order, _largest_exponent(gens), reduced_basis), order, n)
+
+
+def _grown_basis(gens, codec, limits: ResourceLimits, max_sugar: float = inf):
+    """Yield each element admitted to a Groebner basis of gens, as a monic packed divisor.
+
+    The generators come first, each reduced by those before it and skipped if
+    that leaves zero; then the S-pair remainders, up to max_sugar (see
+    `_s_pair_remainders`). Every admission is held to limits.max_basis. Drained,
+    the elements form a Groebner basis of gens, not yet reduced.
+    """
+    basis: list[tuple] = []
+    sugars: list[int] = []
+    for g in gens:
+        nf = _normal_form(codec.pack_terms(g.terms), basis, codec, limits)
+        if nf:
+            basis.append(_monic_divisor(nf, codec.sign))
+            sugars.append(_degree(g))
+            limits.check_basis(len(basis))
+            yield basis[-1]
+    for s in _s_pair_remainders(basis, sugars, codec, limits, max_sugar):
+        basis.append(_monic_divisor(s, codec.sign))
+        limits.check_basis(len(basis))
+        yield basis[-1]
 
 
 def _reduce_basis(basis, codec, limits: ResourceLimits) -> list[tuple]:
@@ -347,11 +379,12 @@ def _reduce_basis(basis, codec, limits: ResourceLimits) -> list[tuple]:
         if any(not (g[0] - h[0]) & guard for h in minimal):
             continue
         minimal.append(g)
-    # reduced: take each generator's normal form against the others
+    # reduced: take each generator's normal form against the others. Only the smaller
+    # leads, minimal[:i], can act: a lead divides only monomials it does not exceed,
+    # and every term of g is at most lead(g), which no other lead divides.
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        nf = _normal_form(dict(_divisor_terms(g)), others, codec, limits)
+        nf = _normal_form(dict(_divisor_terms(g)), minimal[:i], codec, limits)
         if nf:
             reduced.append(_monic_divisor(nf, codec.sign))
     return sorted(reduced, key=itemgetter(1))  # largest lead first
@@ -383,12 +416,30 @@ def specht_ideal_contains(
     Decided purely by Groebner reduction; the combinatorial order is never
     consulted, so agreement with bidominance is an independent cross-check.
     The ideal of a is stable under B_n and the generators of b form the orbit
-    of b's reference polynomial, so reducing that one polynomial decides it.
+    of b's reference polynomial f, so reducing that one polynomial decides it.
+
+    Specht polynomials are homogeneous and each shape's generators share one
+    degree (`tableaux._specht_degree`); both cuts below hold only because of
+    that. If a's degree exceeds d = deg f, every nonzero member of I_a has
+    larger degree, so the answer is False and no generator is built.
+    Otherwise the basis of I_a is grown only through the S-pairs of degree at
+    most d: a Groebner basis up to degree d, which reduces f to zero iff f
+    lies in I_a. It is neither completed nor reduced.
     """
     if a.size != n or b.size != n:
         raise SizeMismatchError(f"shapes must have size {n}")
-    gb = specht_ideal_basis(a, n, order, limits)
-    return reduce(specht_polynomial_bn(reference_bitableau(b, n), limits), gb).is_zero
+    _parse_order(order)  # an unknown order fails even where the degrees decide
+    d = _specht_degree(b)
+    if _specht_degree(a) > d:
+        return False
+    gens = specht_generators(a, n, limits)
+    f = specht_polynomial_bn(reference_bitableau(b, n), limits)
+
+    def contains(codec):
+        basis = list(_grown_basis(gens, codec, limits, d))
+        return not _normal_form(codec.pack_terms(f.terms), basis, codec, limits)
+
+    return _packed_run(n, order, _largest_exponent([*gens, f]), contains)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +572,14 @@ def _covering_chain(a: Bipartition, b: Bipartition) -> list[Bipartition]:
 def radical_membership(
     f: SparsePolynomial, gens, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> bool:
-    """True iff f vanishes on the zero set of gens (auxiliary-variable trick)."""
+    """True iff f vanishes on the zero set of gens.
+
+    By the auxiliary-variable trick (Rabinowitsch; Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 4 sec. 2), that holds iff 1 lies
+    in the ideal of gens and 1 - y f in one more variable y. Its basis is
+    grown under deglex and the run stops at the first admitted element that
+    is a nonzero constant; only a non-member grows the whole basis.
+    """
     gens = list(gens)
     if not gens:
         return f.is_zero
@@ -531,8 +589,12 @@ def radical_membership(
     lifted = [g.extend(n + 1) for g in gens]
     y = SparsePolynomial.variable(n + 1, n + 1)
     lifted.append(SparsePolynomial.constant(n + 1, 1) - y * f.extend(n + 1))
-    gb = buchberger(lifted, "deglex", limits)
-    return gb.is_trivial
+
+    def finds_unit(codec):
+        # the packed key 0 is the monomial 1, which leads only a constant
+        return any(lead == 0 for _, lead, _, _ in _grown_basis(lifted, codec, limits))
+
+    return _packed_run(n + 1, "deglex", _largest_exponent(lifted), finds_unit)
 
 
 def radical_report(
@@ -554,7 +616,7 @@ def radical_report(
     for other in enumerate_bipartitions(n):
         f = specht_polynomial_bn(reference_bitableau(other, n), limits)
         in_radical = radical_membership(f, gens, limits)
-        in_ideal = reduce(f, gb).is_zero
+        in_ideal = reduce(f, gb, limits).is_zero
         samples.append(
             {"sample_shape": str(other), "in_radical": in_radical, "in_ideal": in_ideal}
         )

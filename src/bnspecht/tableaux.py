@@ -134,6 +134,16 @@ def specht_polynomial_bn(
     return _column_expansion(bt.n, cols, 2, sorted(bt.second.entries))
 
 
+def _specht_degree(shape: Bipartition) -> int:
+    """The degree of every Specht polynomial of the shape.
+
+    A column of height h is a Vandermonde in h squares, of degree h(h - 1),
+    times its h variables when it belongs to the second tableau.
+    """
+    left, right = conjugate(shape.left).parts, conjugate(shape.right).parts
+    return sum(h * (h - 1) for h in left) + sum(h * h for h in right)
+
+
 def reference_bitableau(shape: Bipartition, n: int) -> Bitableau:
     """Fill columns of the first tableau with 1,2,..., then the second's."""
     if shape.size != n:

@@ -27,7 +27,12 @@ from bnspecht.groebner import (
 )
 from bnspecht.partitions import bidominates, bp, enumerate_bipartitions, parse_bipartition
 from bnspecht.polynomials import ORDER_TAGS, SparsePolynomial, parse_polynomial
-from bnspecht.tableaux import specht_generators
+from bnspecht.tableaux import (
+    _specht_degree,
+    reference_bitableau,
+    specht_generators,
+    specht_polynomial_bn,
+)
 
 
 def p(text, n):
@@ -137,6 +142,22 @@ def test_resource_limits_trip():
         buchberger(gens, "lex", ResourceLimits(max_basis=2))
 
 
+def test_basis_cap_holds_on_the_input_generators():
+    gens = [p("x1", 3), p("x2", 3), p("x3", 3)]
+    assert len(buchberger(gens, "lex").generators) == 3
+    with pytest.raises(ResourceLimitExceeded, match="basis size 3 exceeds cap 2"):
+        buchberger(gens, "lex", ResourceLimits(max_basis=2))
+
+
+def test_reduce_holds_to_the_term_cap():
+    gb = buchberger([p("x1^2", 4)])
+    cube = p("(x2 + x3 + x4)^6", 4)
+    assert len(cube.terms) == 28
+    assert reduce(cube, gb) == cube
+    with pytest.raises(ResourceLimitExceeded, match="term count"):
+        reduce(cube, gb, ResourceLimits(max_terms=10))
+
+
 def test_term_cap_holds_inside_the_inter_reduction():
     """Reducing x1^30 by x1 - x2 - ... - x6 in lex builds 46,376 terms; the cap stops it early."""
     gens = [p("x1 - x2 - x3 - x4 - x5 - x6", 6), p("x1^30", 6)]
@@ -170,6 +191,40 @@ def test_specht_ideal_contains_small_chain():
     assert specht_ideal_contains(bp((1,), (1,)), bp((1,), (1,)), 2)
     with pytest.raises(SizeMismatchError):
         specht_ideal_contains(bp((1,), ()), bp((1,), (1,)), 2)
+
+
+def test_specht_degree_is_the_degree_of_every_generator_term():
+    # which also pins that every Specht ideal is generated in one degree
+    for n in range(8):
+        for shape in enumerate_bipartitions(n):
+            degrees = {sum(e) for g in specht_generators(shape, n) for e in g.terms}
+            assert degrees == {_specht_degree(shape)}, str(shape)
+
+
+@pytest.mark.parametrize(
+    "n,orders",
+    [(n, ORDER_TAGS) for n in range(1, 5)] + [(5, ["degrevlex"])],
+    ids=["n1", "n2", "n3", "n4", "n5-degrevlex"],
+)
+def test_truncated_inclusion_matches_bidominance_and_the_full_basis(n, orders):
+    shapes = enumerate_bipartitions(n)
+    refs = {b: specht_polynomial_bn(reference_bitableau(b, n)) for b in shapes}
+    for order in orders:
+        for a in shapes:
+            gb = specht_ideal_basis(a, n, order)
+            for b in shapes:
+                got = specht_ideal_contains(a, b, n, order)
+                assert got == bidominates(a, b) == reduce(refs[b], gb).is_zero, (order, a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(bp((1, 1, 1), ()), bp((3,), ())), (bp((3,), ()), bp((1, 1, 1), ()))],
+    ids=["decided-by-degree", "decided-by-reduction"],
+)
+def test_specht_ideal_contains_rejects_an_unknown_order(a, b):
+    with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
+        specht_ideal_contains(a, b, 3, "bogus")
 
 
 def test_specht_ideal_contains_matches_bidominance_n3():
@@ -243,6 +298,42 @@ def test_radical_membership():
     assert radical_membership(p("x1", 2), [p("x1^2", 2)])
     assert not radical_membership(p("x1", 2), [p("x2", 2)])
     assert radical_membership(p("x1 + x2", 2), specht_generators(bp((1,), (1,)), 2))
+
+
+def _rabinowitsch_is_trivial(f, gens):
+    n = f.n
+    lifted = [g.extend(n + 1) for g in gens]
+    y = SparsePolynomial.variable(n + 1, n + 1)
+    lifted.append(SparsePolynomial.constant(n + 1, 1) - y * f.extend(n + 1))
+    return buchberger(lifted, "deglex").is_trivial
+
+
+def test_radical_membership_matches_the_full_basis():
+    for n in range(1, 4):
+        shapes = enumerate_bipartitions(n)
+        refs = [specht_polynomial_bn(reference_bitableau(b, n)) for b in shapes]
+        for a in shapes:
+            gens = specht_generators(a, n)
+            for f in refs:
+                assert radical_membership(f, gens) == _rabinowitsch_is_trivial(f, gens), (a, f)
+
+
+@pytest.mark.parametrize(
+    "f,gens,expected",
+    [
+        ("x1", ["x1^2"], True),
+        ("x1", ["x2"], False),
+        ("x1 + x2", ["x1", "x2"], True),
+        ("x1*x2 + 1", ["x1^2 + x2 - 1", "3"], True),  # a constant generator
+        ("0", ["x1^2 - x2"], True),
+        ("x1 + 1", ["x1^2 - x2", "x2 - 1"], False),  # x1 = 1 is a zero
+        ("x1^2 - 1", ["x1^2 - x2", "x2 - 1"], True),
+    ],
+)
+def test_radical_membership_examples_match_the_full_basis(f, gens, expected):
+    f, gens = p(f, 2), [p(g, 2) for g in gens]
+    assert radical_membership(f, gens) is expected
+    assert _rabinowitsch_is_trivial(f, gens) is expected
 
 
 def test_radical_report_agreement_n2():
