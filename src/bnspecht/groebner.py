@@ -44,6 +44,7 @@ from .polynomials import (
     _column_expansion,
     _exact_quotient,
     _field_width,
+    _largest_exponent,
     _monomial_codec,
     _normalize,
     _parse_order,
@@ -112,15 +113,6 @@ def reduce(
 
 class _FieldOverflow(Exception):
     """A popped monomial set a guard bit: the call must rerun with wider fields."""
-
-
-def _degree(p: SparsePolynomial) -> int:
-    return max(map(sum, p.terms))
-
-
-def _largest_exponent(polys) -> int:
-    flat = itertools.chain.from_iterable
-    return max(flat(flat(p.terms for p in polys)), default=0)
 
 
 def _packed_run(n: int, order: str, largest_exponent: int, run):
@@ -332,13 +324,15 @@ def _s_pair_remainders(
 def buchberger(
     gens, order: str = "lex", limits: ResourceLimits = DEFAULT_LIMITS
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return GroebnerBasis((), order, 0)
-    n = gens[0].n
+    """Reduced Groebner basis of the ideal generated by gens; the zero ideal keeps their ring."""
+    _parse_order(order)  # an unknown order fails even on the zero ideal
+    gens = list(gens)
+    n = gens[0].n if gens else 0
     if any(g.n != n for g in gens):
         raise AmbientMismatchError("generators live in different rings")
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return GroebnerBasis((), order, n)
 
     def reduced_basis(codec):
         reduced = _reduce_basis(list(_grown_basis(gens, codec, limits)), codec, limits)
@@ -361,7 +355,7 @@ def _grown_basis(gens, codec, limits: ResourceLimits, max_sugar: float = inf):
         nf = _normal_form(codec.pack_terms(g.terms), basis, codec, limits)
         if nf:
             basis.append(_monic_divisor(nf, codec.sign))
-            sugars.append(_degree(g))
+            sugars.append(g.degree)
             limits.check_basis(len(basis))
             yield basis[-1]
     for s in _s_pair_remainders(basis, sugars, codec, limits, max_sugar):
@@ -678,7 +672,7 @@ def _passes_buchberger_criterion(polys, order: str, limits: ResourceLimits) -> b
         return True
 
     def passes(codec):
-        sugars = [_degree(g) for g in polys]
+        sugars = [g.degree for g in polys]
         remainders = _s_pair_remainders(_pack_divisors(polys, codec), sugars, codec, limits)
         return next(remainders, None) is None
 

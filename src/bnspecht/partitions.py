@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce, total_ordering
 from itertools import zip_longest
-from operator import or_
+from operator import index, or_
 
 from .errors import ParseError, SizeMismatchError
 
@@ -27,7 +27,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts if p != 0)
+        try:
+            parts = tuple(index(p) for p in self.parts if p != 0)
+        except TypeError:
+            raise ValueError(f"non-integer part in {self.parts}") from None
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {self.parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -4,7 +4,9 @@ Terms are dicts mapping exponent tuples (length = ambient variable count)
 to nonzero coefficients: an int when the value is integral, a Fraction
 otherwise (see `_normalize`). Variables are 1-based in the external notation
 (x1, x2, ...) and lex always means x1 > x2 > ... > xn unless an order tag
-says otherwise.
+says otherwise. `_MonomialCodec` is the one definition of the six monomial
+orders of `ORDER_TAGS`: leading terms and every Groebner computation compare
+monomials by its packed keys.
 """
 
 from __future__ import annotations
@@ -88,36 +90,8 @@ def _parse_order(tag: str) -> tuple[str, bool]:
     return base, suffix == "rev"
 
 
-def _descending_key(tag: str):
-    """Flat sort key for exponent tuples; smaller key = larger monomial.
-
-    A min-heap keyed by it pops the largest monomial first.
-    """
-    base, reverse_vars = _parse_order(tag)
-    if base == "lex":
-        if reverse_vars:
-            return lambda e: tuple([-x for x in reversed(e)])
-        return lambda e: tuple([-x for x in e])
-    if base == "deglex":
-        if reverse_vars:
-            return lambda e: (-sum(e), *[-x for x in reversed(e)])
-        return lambda e: (-sum(e), *[-x for x in e])
-    if reverse_vars:
-        return lambda e: (-sum(e), *e)
-    return lambda e: (-sum(e), *reversed(e))
-
-
-def order_key(tag: str):
-    """Sort key for exponent tuples; larger key = larger monomial.
-
-    The negation of `_descending_key(tag)`, so the six orders are defined once.
-    """
-    descending = _descending_key(tag)
-    return lambda e: tuple([-x for x in descending(e)])
-
-
 class _MonomialCodec:
-    """Exponent tuples of one (n, order) packed into Python ints, for the Groebner kernel.
+    """Exponent tuples of one (n, order) packed into Python ints: the six orders' one definition.
 
     Each variable gets a field of `width` bits, F = sum_i e_i << shift_i, with
     the variable that the order compares first in the most significant field.
@@ -194,10 +168,16 @@ def _field_width(largest_exponent: int) -> int:
     return width
 
 
+def _largest_exponent(polys) -> int:
+    """The largest exponent in any term of polys, 0 if there is none: what `_field_width` reads."""
+    flat = itertools.chain.from_iterable
+    return max(flat(flat(p.terms for p in polys)), default=0)
+
+
 class SparsePolynomial:
     """Immutable polynomial with exact rational coefficients, each an int or a Fraction."""
 
-    __slots__ = ("n", "terms", "_hash", "_leads")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict[Exponents, Coefficient] | None = None):
         self.n = n
@@ -211,7 +191,6 @@ class SparsePolynomial:
                 clean[exps] = coeff
         self.terms = clean
         self._hash = None
-        self._leads = None  # order tag -> leading exponents, filled on first use
 
     # -- constructors -------------------------------------------------------
 
@@ -226,6 +205,8 @@ class SparsePolynomial:
     @staticmethod
     def variable(n: int, i: int, power: int = 1) -> "SparsePolynomial":
         _check_index(n, i)
+        if power < 0:
+            raise ValueError(f"negative exponent {power}")
         exps = tuple(power if j == i - 1 else 0 for j in range(n))
         return SparsePolynomial(n, {exps: 1})
 
@@ -313,15 +294,11 @@ class SparsePolynomial:
         return max((sum(e) for e in self.terms), default=-1)
 
     def leading_exponents(self, tag: str = "lex") -> Exponents:
-        leads = self._leads
-        if leads is None:
-            leads = self._leads = {}
-        elif tag in leads:
-            return leads[tag]
+        """The exponents of the largest term under the order tag: the smallest packed key."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        lead = leads[tag] = min(self.terms, key=_descending_key(tag))
-        return lead
+        codec = _monomial_codec(self.n, tag, _field_width(_largest_exponent((self,))))
+        return min(self.terms, key=codec.pack)
 
     def leading_coefficient(self, tag: str = "lex") -> Coefficient:
         return self.terms[self.leading_exponents(tag)]

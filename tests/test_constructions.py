@@ -908,7 +908,6 @@ def fraction_only_init(self, n, terms=None):
             clean[exps] = coeff
     self.terms = clean
     self._hash = None
-    self._leads = None
 
 
 def fraction_quotient(a, b):

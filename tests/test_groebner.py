@@ -94,6 +94,14 @@ def test_empty_basis_is_the_zero_ideal(gens):
     assert not gb.is_trivial
 
 
+def test_zero_ideal_keeps_its_ring_and_checks_its_order():
+    assert buchberger([SparsePolynomial.zero(3)], "lex") == GroebnerBasis((), "lex", 3)
+    assert buchberger([SparsePolynomial.zero(3)] * 2, "degrevlex-rev").n == 3
+    for gens in ([], [SparsePolynomial.zero(3)]):
+        with pytest.raises(ValueError, match="unknown monomial order 'bogus'"):
+            buchberger(gens, "bogus")
+
+
 def test_reduce_is_idempotent_and_additive():
     gb = specht_ideal_basis(bp((1, 1), (1,)), 3)
     for text in ("x1^4*x2 - x3", "x1*x2*x3 + x2^2", "x1^2 - x2^2 + 1"):

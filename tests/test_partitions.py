@@ -41,6 +41,12 @@ def test_partition_canonical_form():
         Partition((-1,))
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), ("2",), (2.0,), (1, "0")])
+def test_partition_rejects_non_integral_parts(parts):
+    with pytest.raises(ValueError, match="non-integer part"):
+        Partition(parts)
+
+
 def test_partition_indexing_pads_with_zeros():
     p = Partition((3, 1))
     assert [p.at(i) for i in range(1, 5)] == [3, 1, 0, 0]

@@ -17,17 +17,16 @@ from bnspecht.polynomials import (
     SparsePolynomial,
     act,
     _column_expansion,
-    _descending_key,
     _exact_quotient,
     _field_width,
     _monomial_codec,
     act_point,
-    order_key,
     parse_point,
     parse_polynomial,
     vandermonde,
     vandermonde_squares,
 )
+from tuple_kernel import leading, monic, reference_order_key
 
 N = 3
 
@@ -56,21 +55,28 @@ def test_divides_rejects_a_different_ambient():
         Monomial((1, 0)).divides(Monomial((1,)))
 
 
+def packed_order_key(tag, n=N, width=8):
+    """The codec's order as a sort key, larger key = larger monomial: the negated packed monomial."""
+    pack = _monomial_codec(n, tag, width).pack
+    return lambda e: -pack(e)
+
+
 def test_order_keys_disagree_where_expected():
-    lex = order_key("lex")
-    deglex = order_key("deglex")
-    degrevlex = order_key("degrevlex")
-    # x1 > x2^2 under lex but not under the degree orders
-    assert lex((1, 0, 0)) > lex((0, 2, 0))
-    assert deglex((1, 0, 0)) < deglex((0, 2, 0))
-    # x1*x3 vs x2^2: deglex prefers x1*x3, degrevlex also (smaller on last var)
-    assert deglex((1, 0, 1)) > deglex((0, 2, 0))
-    assert degrevlex((0, 1, 1)) < degrevlex((1, 0, 1))
-    # reversed-variable lex swaps the roles of x1 and x3
-    rev = order_key("lex-rev")
-    assert rev((0, 0, 1)) > rev((1, 0, 0))
-    with pytest.raises(ValueError):
-        order_key("mystery")
+    for order_key in (packed_order_key, reference_order_key):
+        lex = order_key("lex")
+        deglex = order_key("deglex")
+        degrevlex = order_key("degrevlex")
+        # x1 > x2^2 under lex but not under the degree orders
+        assert lex((1, 0, 0)) > lex((0, 2, 0))
+        assert deglex((1, 0, 0)) < deglex((0, 2, 0))
+        # x1*x3 vs x2^2: deglex prefers x1*x3, degrevlex also (smaller on last var)
+        assert deglex((1, 0, 1)) > deglex((0, 2, 0))
+        assert degrevlex((0, 1, 1)) < degrevlex((1, 0, 1))
+        # reversed-variable lex swaps the roles of x1 and x3
+        rev = order_key("lex-rev")
+        assert rev((0, 0, 1)) > rev((1, 0, 0))
+        with pytest.raises(ValueError):
+            order_key("mystery")
 
 
 def test_order_tags_cover_both_directions():
@@ -212,11 +218,18 @@ def test_negative_power_is_rejected():
         parse_polynomial("x1 + 1", 1) ** -1
 
 
+def test_variable_rejects_a_negative_power():
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        SparsePolynomial.variable(2, 1, -1)
+    assert SparsePolynomial.variable(2, 1, 0) == SparsePolynomial.constant(2, 1)
+    assert str(SparsePolynomial.variable(2, 2, 3)) == "x2^3"
+
+
 def test_leading_data_and_monic():
     p = parse_polynomial("2*x2^3 + x1", 3)
     assert p.leading_exponents("lex") == (1, 0, 0)
     assert p.leading_exponents("deglex") == (0, 3, 0)
-    assert p.leading_exponents("lex") == (1, 0, 0)  # cached per order tag
+    assert p.leading_exponents("lex") == (1, 0, 0)  # a second call gives the same lead
     with pytest.raises(ValueError):
         SparsePolynomial.zero(2).leading_exponents("lex")
     assert p.monic("deglex").leading_coefficient("deglex") == 1
@@ -316,34 +329,17 @@ def test_json_terms_are_deterministic():
     ]
 
 
-def _reference_order_key(tag):
-    """Test-only reference: the nested sort key of each order, written out
-    independently of `_descending_key`. Larger key = larger monomial."""
-    base, _, suffix = tag.partition("-")
-    assert base in ("lex", "deglex", "degrevlex") and suffix in ("", "rev")
-
-    def key(exps):
-        e = tuple(reversed(exps)) if suffix == "rev" else exps
-        if base == "lex":
-            return e
-        if base == "deglex":
-            return (sum(e), e)
-        return (sum(e), tuple(-x for x in reversed(e)))
-
-    return key
-
-
 def _cmp(a, b):
     return (a > b) - (a < b)
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2, max_size=12, unique=True))
 def test_descending_key_reverses_order_key(exps):
+    """Packed monomials sort ascending as the reference order sorts descending."""
     for tag in ORDER_TAGS:
-        reference = _reference_order_key(tag)
-        expected = sorted(exps, key=reference, reverse=True)
-        assert sorted(exps, key=_descending_key(tag)) == expected, tag
-        assert sorted(exps, key=order_key(tag), reverse=True) == expected, tag
+        expected = sorted(exps, key=reference_order_key(tag), reverse=True)
+        assert sorted(exps, key=_monomial_codec(3, tag, 8).pack) == expected, tag
+        assert sorted(exps, key=packed_order_key(tag), reverse=True) == expected, tag
         lead = SparsePolynomial(3, {e: Fraction(1) for e in exps}).leading_exponents(tag)
         assert lead == expected[0], tag
 
@@ -352,12 +348,33 @@ def test_order_keys_match_reference_on_every_pair():
     # all exponent tuples of 3 variables with entries 0..2, every ordered pair
     exps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     for tag in ORDER_TAGS:
-        reference, key, descending = _reference_order_key(tag), order_key(tag), _descending_key(tag)
+        reference, key = reference_order_key(tag), packed_order_key(tag)
+        descending = _monomial_codec(3, tag, 8).pack
         for u in exps:
             for v in exps:
                 want = _cmp(reference(u), reference(v))
                 assert _cmp(key(u), key(v)) == want, (tag, u, v)
                 assert _cmp(descending(v), descending(u)) == want, (tag, u, v)
+
+
+@given(polys.filter(bool))
+@example(SparsePolynomial.constant(0, 5))  # n = 0
+@example(SparsePolynomial(2, {(300, 0): 1, (0, 299): 2, (1, 1): -3}))  # fields past 8 bits
+# exponents near 10**9 take 64-bit fields
+@example(SparsePolynomial(3, {(10**9, 0, 0): 1, (0, 10**9, 1): -1, (0, 0, 10**9 + 1): 2}))
+def test_leads_match_the_reference_under_every_order(p):
+    """The codec's lead under each tag, at every field width, is the reference's."""
+    for tag in ORDER_TAGS:
+        lead = leading(p, tag)
+        assert p.leading_exponents(tag) == lead, tag
+        assert p.leading_coefficient(tag) == p.terms[lead], tag
+        assert p.monic(tag) == monic(p, tag), tag
+        assert p.monic(tag).leading_coefficient(tag) == 1, tag
+    with pytest.raises(ValueError):
+        p.leading_exponents("mystery")
+    q = p.sign_normalized()
+    assert q in (p, -p) and q.leading_coefficient("lex") > 0
+    assert q.sign_normalized() == q and (-q).sign_normalized() == q
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +395,7 @@ def test_packed_keys_sort_like_order_key(case):
     n, width, exps = case
     for tag in ORDER_TAGS:
         codec = _monomial_codec(n, tag, width)
-        by_key = sorted(set(exps), key=order_key(tag), reverse=True)
+        by_key = sorted(set(exps), key=reference_order_key(tag), reverse=True)
         assert sorted({codec.pack(e) for e in exps}) == [codec.pack(e) for e in by_key], tag
 
 

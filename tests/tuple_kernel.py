@@ -1,10 +1,12 @@
 """The tuple-keyed Groebner kernel that the packed kernel replaced, kept as a test-only reference.
 
 `_normal_form` and `_s_polynomial` are the library's former kernel, moved
-here unchanged. `reference_buchberger` runs Buchberger's algorithm on them
-with every S-pair reduced and no criterion. The `packed_*` adapters run the
-library's packed kernel on `SparsePolynomial`s, so tests can call either
-route with the same arguments.
+here. `reference_buchberger` runs Buchberger's algorithm on them with every
+S-pair reduced and no criterion. The kernel orders monomials by
+`reference_order_key`, the tests' one table of the six orders, written out
+independently of the library's packed codec that it checks. The `packed_*`
+adapters run the library's packed kernel on `SparsePolynomial`s, so tests
+can call either route with the same arguments.
 """
 
 import itertools
@@ -15,12 +17,45 @@ from bnspecht import groebner
 from bnspecht.groebner import GroebnerBasis
 from bnspecht.polynomials import (
     SparsePolynomial,
-    _descending_key,
     _exact_quotient,
     _field_width,
+    _largest_exponent,
     _monomial_codec,
-    order_key,
 )
+
+
+def reference_order_key(tag):
+    """The nested sort key of each order tag; larger key = larger monomial.
+
+    ValueError for a tag outside the six orders.
+    """
+    base, _, suffix = tag.partition("-")
+    if base not in ("lex", "deglex", "degrevlex") or suffix not in ("", "rev"):
+        raise ValueError(f"unknown monomial order {tag!r}")
+
+    def key(exps):
+        e = tuple(reversed(exps)) if suffix == "rev" else exps
+        if base == "lex":
+            return e
+        if base == "deglex":
+            return (sum(e), e)
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    return key
+
+
+def _negated(k):
+    return -k if type(k) is int else tuple(map(_negated, k))
+
+
+def leading(g: SparsePolynomial, order: str):
+    """The exponents of g's largest term under order."""
+    return max(g.terms, key=reference_order_key(order))
+
+
+def monic(g: SparsePolynomial, order: str) -> SparsePolynomial:
+    """The nonzero g scaled so that its leading coefficient under order is 1."""
+    return g.scale(_exact_quotient(1, g.terms[leading(g, order)]))
 
 
 def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynomial:
@@ -34,7 +69,11 @@ def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynom
     `work`, and one found absent when it surfaces is skipped, so a zero kept
     in `work` would be popped and reduced for nothing.
     """
-    heap_key = _descending_key(order)
+    key = reference_order_key(order)
+
+    def heap_key(e):  # the smallest heap key is the largest monomial
+        return _negated(key(e))
+
     divisors = list(zip(leads, basis))
     work = dict(p.terms)
     heap = [(heap_key(e), e) for e in work]
@@ -71,7 +110,7 @@ def _normal_form(p: SparsePolynomial, basis, leads, order: str) -> SparsePolynom
 
 def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> SparsePolynomial:
     """lcm/lt(f) * f - lcm/lt(g) * g, built term by term; the leading terms cancel."""
-    lf, lg = f.leading_exponents(order), g.leading_exponents(order)
+    lf, lg = leading(f, order), leading(g, order)
     lcm = tuple(map(max, lf, lg))
     terms: dict = {}
     for h, lead, sign in ((f, lf, 1), (g, lg, -1)):
@@ -85,7 +124,7 @@ def _s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) -> Spars
 
 
 def _leads(polys, order):
-    return [g.leading_exponents(order) for g in polys]
+    return [leading(g, order) for g in polys]
 
 
 def reference_reduce(p: SparsePolynomial, gb: GroebnerBasis) -> SparsePolynomial:
@@ -112,14 +151,14 @@ def reference_buchberger(gens, order: str, max_basis: int = 20) -> GroebnerBasis
 
     Every S-pair costs a reduction, so the unreduced basis is capped at max_basis.
     """
-    basis = [g.monic(order) for g in gens if not g.is_zero]
+    basis = [monic(g, order) for g in gens if not g.is_zero]
     if not basis:
         return GroebnerBasis((), order, 0)
-    key = order_key(order)
+    key = reference_order_key(order)
 
     def lcm_key(pair):
         i, j = pair
-        lcm = tuple(map(max, basis[i].leading_exponents(order), basis[j].leading_exponents(order)))
+        lcm = tuple(map(max, leading(basis[i], order), leading(basis[j], order)))
         return sum(lcm), key(lcm)
 
     pairs = list(itertools.combinations(range(len(basis)), 2))
@@ -133,23 +172,23 @@ def reference_buchberger(gens, order: str, max_basis: int = 20) -> GroebnerBasis
             if len(basis) == max_basis:
                 raise ReferenceTooLarge(len(basis))
             pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(s.monic(order))
+            basis.append(monic(s, order))
     minimal = []
-    for g in sorted(basis, key=lambda g: key(g.leading_exponents(order))):
-        lead = g.leading_exponents(order)
-        if not any(all(map(ge, lead, h.leading_exponents(order))) for h in minimal):
+    for g in sorted(basis, key=lambda g: key(leading(g, order))):
+        lead = leading(g, order)
+        if not any(all(map(ge, lead, leading(h, order))) for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_normal_form(g, others, _leads(others, order), order).monic(order))
-    reduced.sort(key=lambda g: key(g.leading_exponents(order)), reverse=True)
+        reduced.append(monic(_normal_form(g, others, _leads(others, order), order), order))
+    reduced.sort(key=lambda g: key(leading(g, order)), reverse=True)
     return GroebnerBasis(tuple(reduced), order, basis[0].n)
 
 
 def _codec(polys, order):
     polys = list(polys)
-    return _monomial_codec(polys[0].n, order, _field_width(groebner._largest_exponent(polys)))
+    return _monomial_codec(polys[0].n, order, _field_width(_largest_exponent(polys)))
 
 
 def packed_normal_forms(polys, basis, order: str):
