@@ -20,7 +20,6 @@ from .errors import (
     BnSpechtError,
     ResourceLimitExceeded,
     ResourceLimits,
-    SizeMismatchError,
 )
 from .groebner import (
     covering_certificate,
@@ -31,6 +30,7 @@ from .groebner import (
 )
 from .invariants import detection_report, rank_bound
 from .partitions import (
+    _check_size,
     bidominates,
     hasse_diagram,
     hecke_leq,
@@ -144,8 +144,7 @@ def _cmd_specht(args) -> dict:
 def _cmd_ideal_inc(args) -> dict:
     a = parse_bipartition(args.a)
     b = parse_bipartition(args.b)
-    if a.size != args.n or b.size != args.n:
-        raise SizeMismatchError(f"shapes must have size {args.n}")
+    _check_size(args.n, a, b)
     limits = _limits(args)
     out = {"a": str(a), "b": str(b), "n": args.n, "method": args.method}
     if args.method == "groebner":
@@ -184,8 +183,7 @@ def _spliced_rows(rows) -> _Json:
 
 def _cmd_variety(args) -> dict:
     shape = parse_bipartition(args.shape)
-    if shape.size != args.n:
-        raise ValueError(f"shape {shape} has size {shape.size}, expected {args.n}")
+    _check_size(args.n, shape)
     keep = _outside(shape)
     classes, representatives = _variety_rows(args.n)
     return {
@@ -244,63 +242,33 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-cosets", type=int, default=DEFAULT_LIMITS.max_cosets)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poset", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
+    required, integer = {"required": True}, {"type": int, "required": True}
+    n, shape, a, b = ("--n", integer), ("--shape", required), ("--a", required), ("--b", required)
+    case = ("--case", {**integer, "choices": [3, 4]})
+
+    def choice(flag, *values):
+        return flag, {"choices": values, "default": values[0]}
+
+    commands = {  # name: (handler, *its options after the caps, in --help order)
+        "poset": (_cmd_poset, n),
+        "order": (_cmd_order, a, b, choice("--relation", "bidom", "hecke", "induced")),
+        "specht": (_cmd_specht, shape, n, ("--all", {"action": "store_true"})),
+        "ideal-inc": (_cmd_ideal_inc, a, b, n, choice("--method", "groebner", "certificate")),
+        "variety": (_cmd_variety, shape, n),
+        "orbit-type": (_cmd_orbit_type, ("--point", required)),
+        "gamma": (_cmd_gamma, ("--poly", required), n),
+        "certify-cover": (_cmd_certify_cover, case, (a[0], integer), (b[0], integer)),
+        "conjecture": (_cmd_conjecture, shape, n, ("--orders", {"default": "lex,deglex,degrevlex"})),
+        "rank-bound": (_cmd_rank_bound, shape, n),
+    }
+    for name, (func, *options) in commands.items():
+        p = sub.add_parser(name, parents=[common])
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=func)
+    group = sub.choices["poset"].add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true")
     group.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("order", parents=[common])
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--relation", choices=["bidom", "hecke", "induced"], default="bidom")
-    p.set_defaults(func=_cmd_order)
-
-    p = sub.add_parser("specht", parents=[common])
-    p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--all", action="store_true")
-    p.set_defaults(func=_cmd_specht)
-
-    p = sub.add_parser("ideal-inc", parents=[common])
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["groebner", "certificate"], default="groebner")
-    p.set_defaults(func=_cmd_ideal_inc)
-
-    p = sub.add_parser("variety", parents=[common])
-    p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_variety)
-
-    p = sub.add_parser("orbit-type", parents=[common])
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_orbit_type)
-
-    p = sub.add_parser("gamma", parents=[common])
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("certify-cover", parents=[common])
-    p.add_argument("--case", type=int, choices=[3, 4], required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=_cmd_certify_cover)
-
-    p = sub.add_parser("conjecture", parents=[common])
-    p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orders", default="lex,deglex,degrevlex")
-    p.set_defaults(func=_cmd_conjecture)
-
-    p = sub.add_parser("rank-bound", parents=[common])
-    p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_rank_bound)
-
     return parser
 
 

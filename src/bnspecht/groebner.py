@@ -36,8 +36,14 @@ from heapq import heapify, heappop, heappush
 from math import comb, factorial, inf
 from operator import itemgetter
 
-from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits, SizeMismatchError
-from .partitions import Bipartition, bidominates, enumerate_bipartitions, hasse_diagram
+from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits
+from .partitions import (
+    Bipartition,
+    _check_size,
+    bidominates,
+    enumerate_bipartitions,
+    hasse_diagram,
+)
 from .polynomials import (
     SparsePolynomial,
     _alternating_sum,
@@ -86,10 +92,10 @@ def reduce(
 
     The work and the remainder are held to limits.max_terms.
     """
-    if not gb.generators:
-        return p
     if p.n != gb.n:
         raise AmbientMismatchError(f"polynomial in {p.n} variables, basis in {gb.n}")
+    if not gb.generators:
+        return p
 
     def remainder(codec):
         divisors = gb._packed_divisors.get(codec.width)
@@ -221,22 +227,22 @@ def _s_polynomial(f, g, lcm: int) -> dict:
 def _s_pair_remainders(
     basis: list, sugars: list[int], codec, limits: ResourceLimits, max_sugar: float = inf
 ):
-    """Yield the nonzero remainders of the S-pairs of the packed divisors in basis.
+    """Grow basis by the nonzero S-pair remainders of its packed divisors, yielding each.
+
+    A remainder is appended to basis as a monic divisor, and its sugar to
+    sugars, then yielded, and admitted when the generator resumes. When the
+    generator is exhausted, basis is a Groebner basis.
 
     Pairs are queued by (sugar, order of the lcm, (i, j)), smallest first: the
     sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991).
-    sugars holds the sugar of each element given in basis, its degree, and
-    grows with basis: a remainder's sugar is the larger of its pair's sugar
-    and its degree.
+    sugars holds the sugar of each element given in basis, its degree; a
+    remainder's sugar is the larger of its pair's sugar and its degree.
     A pair's sugar is deg(lcm) plus the larger excess of sugar over lead
     degree of its two elements. For homogeneous inputs, such as Specht
     ideals, that is the degree of the lcm. On other inputs under lex,
     queueing by the lcm degree alone, or by the lcm alone, ran small ideals
     in 3 and 4 variables past 60 s on coefficient growth; by sugar they take
     under a second.
-    A caller that appends to basis before resuming has the new elements
-    admitted too, and the remainders that follow are taken modulo the grown
-    basis. When the generator is exhausted, basis is a Groebner basis.
 
     The generator returns at the first popped pair whose sugar exceeds
     max_sugar. No later pair has a smaller sugar: a remainder's sugar is at
@@ -273,12 +279,10 @@ def _s_pair_remainders(
     queue: list = []
     degree = codec.degree
 
-    def admit_new_elements(sugar: int = 0):
+    def admit_new_elements():
         for h in range(len(fields), len(basis)):
             lead_x, lead, _, _ = basis[h]
             fh = lead_x & low
-            if h == len(sugars):  # a remainder: its pair's sugar, or its degree if larger
-                sugars.append(max(sugar, *(degree(u) for u, _ in _divisor_terms(basis[h]))))
             excess.append(sugars[h] - degree(lead))
             for (i, j), lcm in list(live.items()):
                 if (
@@ -317,8 +321,10 @@ def _s_pair_remainders(
             continue  # pruned after it was queued
         s = _normal_form(_s_polynomial(basis[i], basis[j], -ascending_lcm), basis, codec, limits)
         if s:
-            yield s
-            admit_new_elements(pair_sugar)
+            basis.append(_monic_divisor(s, sign))
+            sugars.append(max(pair_sugar, *map(degree, s)))
+            yield basis[-1]
+            admit_new_elements()
 
 
 def buchberger(
@@ -358,10 +364,9 @@ def _grown_basis(gens, codec, limits: ResourceLimits, max_sugar: float = inf):
             sugars.append(g.degree)
             limits.check_basis(len(basis))
             yield basis[-1]
-    for s in _s_pair_remainders(basis, sugars, codec, limits, max_sugar):
-        basis.append(_monic_divisor(s, codec.sign))
+    for remainder in _s_pair_remainders(basis, sugars, codec, limits, max_sugar):
         limits.check_basis(len(basis))
-        yield basis[-1]
+        yield remainder
 
 
 def _reduce_basis(basis, codec, limits: ResourceLimits) -> list[tuple]:
@@ -420,8 +425,7 @@ def specht_ideal_contains(
     most d: a Groebner basis up to degree d, which reduces f to zero iff f
     lies in I_a. It is neither completed nor reduced.
     """
-    if a.size != n or b.size != n:
-        raise SizeMismatchError(f"shapes must have size {n}")
+    _check_size(n, a, b)
     _parse_order(order)  # an unknown order fails even where the degrees decide
     d = _specht_degree(b)
     if _specht_degree(a) > d:
@@ -536,8 +540,7 @@ def inclusion_by_certificates(
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> InclusionReport:
     """Exhibit a covering chain from b up to a; witness each step if n is small."""
-    if a.size != n or b.size != n:
-        raise SizeMismatchError(f"shapes must have size {n}")
+    _check_size(n, a, b)
     if not bidominates(a, b):
         raise ValueError(f"{a} does not bidominate {b}")
     chain = tuple(_covering_chain(a, b))
@@ -601,8 +604,7 @@ def radical_report(
     ideal membership; a radical ideal makes the two verdicts agree on every
     sample. The report records any disagreement instead of asserting.
     """
-    if shape.size != n:
-        raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
+    _check_size(n, shape)
     gens = specht_generators(shape, n, limits)
     gb = buchberger(gens, "deglex", limits)
     samples = []
@@ -647,8 +649,7 @@ def universal_gb_check(
     a Groebner basis in each order: findings about that set, which assert
     nothing about the ideal beyond it.
     """
-    if shape.size != n:
-        raise SizeMismatchError(f"shape {shape} has size {shape.size}, expected {n}")
+    _check_size(n, shape)
     orders = list(orders)
     for tag in orders:
         _parse_order(tag)  # an unknown tag fails before any generator is built

@@ -8,7 +8,7 @@ from functools import cache
 from math import factorial, prod
 
 from .errors import DEFAULT_LIMITS, NoConclusionError, NotApplicableError, ResourceLimits
-from .partitions import Bipartition, Partition, bidominates, conjugate, hasse_diagram
+from .partitions import Bipartition, Partition, _check_size, bidominates, conjugate, hasse_diagram
 from .polynomials import (
     Monomial,
     SignedPermutation,
@@ -133,8 +133,7 @@ def _weights(n: int) -> tuple[int, ...]:
 
 def rank_bound(shape: Bipartition, n: int) -> int:
     """Sum of squared standard-filling counts over classes the shape fails to bidominate."""
-    if shape.size != n:
-        raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
+    _check_size(n, shape)
     below = hasse_diagram(n).down_set(shape)
     return sum(weight for i, weight in enumerate(_weights(n)) if not below >> i & 1)
 

@@ -7,7 +7,8 @@ accessor. Dominance, bidominance and the Hecke order all compare prefix
 sums in `_dominated`, and both covering routines walk the Brylawski moves
 of `_brylawski_moves`. `hasse_diagram(n)` builds BP_n's diagram once per n
 and hands every caller the same immutable object, whose down-set bitsets
-answer every "what lies below" query.
+answer every "what lies below" query. Partitions and bipartitions are read
+from text by `polynomials._Parser`, the package's one scanner.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from functools import cache, cached_property, reduce, total_ordering
 from itertools import zip_longest
 from operator import index, or_
 
-from .errors import ParseError, SizeMismatchError
+from .errors import SizeMismatchError
+from .polynomials import _Parser
 
 @total_ordering
 @dataclass(frozen=True)
@@ -102,53 +104,21 @@ def bp(left, right) -> Bipartition:
     return Bipartition(Partition(tuple(left)), Partition(tuple(right)))
 
 
-def _skip_space(text: str, i: int) -> int:
-    """The first position from i on that does not hold whitespace."""
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
-def _expect(text: str, i: int, char: str, message: str) -> int:
-    """The position past `char`, which must be the first non-space character from i on."""
-    i = _skip_space(text, i)
-    if i >= len(text) or text[i] != char:
-        raise ParseError(message, i)
-    return i + 1
-
-
 def parse_partition(text: str, offset: int = 0) -> tuple[Partition, int]:
     """Parse "(a,b,...)" starting at `offset`; returns (partition, next position)."""
-    i = _expect(text, offset, "(", "expected '('")
-    parts = []
-    while True:
-        i = _skip_space(text, i)
-        if i < len(text) and text[i] == ")":
-            return Partition(tuple(parts)), i + 1
-        start = i
-        while i < len(text) and "0" <= text[i] <= "9":
-            i += 1
-        if i == start:
-            raise ParseError("expected a part or ')'", i)
-        parts.append(int(text[start:i]))
-        i = _skip_space(text, i)
-        if i < len(text) and text[i] == ",":
-            i += 1
-        elif i < len(text) and text[i] == ")":
-            return Partition(tuple(parts)), i + 1
-        else:
-            raise ParseError("expected ',' or ')'", i)
+    scanner = _Parser(text, pos=offset)
+    return Partition(scanner.parts()), scanner.pos
 
 
 def parse_bipartition(text: str) -> Bipartition:
     """Parse "((a,b,...),(c,...))" with "()" for the empty partition."""
-    i = _expect(text, 0, "(", "expected '(' opening the bipartition")
-    left, i = parse_partition(text, i)
-    i = _expect(text, i, ",", "expected ',' between the two partitions")
-    right, i = parse_partition(text, i)
-    i = _skip_space(text, _expect(text, i, ")", "expected ')' closing the bipartition"))
-    if i < len(text):
-        raise ParseError("trailing input after bipartition", i)
+    scanner = _Parser(text)
+    scanner.expect("(", "expected '(' opening the bipartition")
+    left = Partition(scanner.parts())
+    scanner.expect(",", "expected ',' between the two partitions")
+    right = Partition(scanner.parts())
+    scanner.expect(")", "expected ')' closing the bipartition")
+    scanner.end("trailing input after bipartition")
     return Bipartition(left, right)
 
 
@@ -170,6 +140,14 @@ def _same_size(a, b) -> None:
     """Raise SizeMismatchError unless the two (bi)partitions have the same size."""
     if a.size != b.size:
         raise SizeMismatchError(f"|{a}| = {a.size} != |{b}| = {b.size}")
+
+
+def _check_size(n: int, *shapes) -> None:
+    """Raise SizeMismatchError unless every shape has size n; a lone shape is named."""
+    if any(shape.size != n for shape in shapes):
+        if len(shapes) == 1:
+            raise SizeMismatchError(f"shape {shapes[0]} has size {shapes[0].size}, expected {n}")
+        raise SizeMismatchError(f"shapes must have size {n}")
 
 
 def dominates(p: Partition, q: Partition) -> bool:

@@ -598,21 +598,22 @@ def act_point(g: SignedPermutation, z) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# text parser (integers, a/b, xN, + - * ^, parentheses)
+# text parser (integers, a/b, xN, + - * ^, parentheses, partitions)
 
 
 class _Parser:
-    def __init__(self, text: str, n: int):
+    """The package's one text scanner: polynomials, points, partitions and bipartitions."""
+
+    def __init__(self, text: str, n: int = 0, pos: int = 0):
         self.text = text
         self.n = n
-        self.pos = 0
+        self.pos = pos
 
     def error(self, message):
         raise ParseError(message, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.peek()
 
     def integer(self, message: str) -> int:
         """The run of ASCII digits at pos, which it passes; ParseError(message) if there is none."""
@@ -624,7 +625,8 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def peek(self):
-        self.skip_ws()
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> SparsePolynomial:
@@ -632,10 +634,28 @@ class _Parser:
         self.end()
         return poly
 
-    def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
+    def expect(self, char: str, message: str):
+        """Pass `char`, the next non-space character; ParseError(message) if it is another."""
+        if self.peek() != char:
+            self.error(message)
+        self.pos += 1
+
+    def end(self, message: str | None = None):
+        """Only whitespace may follow; else ParseError(message), by default naming the character."""
+        if self.peek():
+            self.error(message or f"unexpected character {self.text[self.pos]!r}")
+
+    def parts(self) -> tuple[int, ...]:
+        """A partition's parts, written '(a,b,...)'; '()' is empty and a last ',' is allowed."""
+        self.expect("(", "expected '('")
+        parts = []
+        while self.peek() != ")":
+            parts.append(self.integer("expected a part or ')'"))
+            if self.peek() != ",":
+                break
+            self.pos += 1
+        self.expect(")", "expected ',' or ')'")
+        return tuple(parts)
 
     def point(self) -> tuple[Fraction, ...]:
         """Comma-separated coordinates, each an optional sign and a number."""
@@ -700,9 +720,7 @@ class _Parser:
         if ch == "(":
             self.pos += 1
             poly = self.expression()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            self.expect(")", "expected ')'")
             return poly
         if ch == "x":
             self.pos += 1
@@ -722,7 +740,7 @@ def parse_polynomial(text: str, n: int) -> SparsePolynomial:
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
     """Parse comma-separated rational coordinates such as '1/2, -3, 0'."""
-    parser = _Parser(text, 0)
+    parser = _Parser(text)
     coords = parser.point()
     parser.end()
     return coords

@@ -9,7 +9,7 @@ from functools import cache
 from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
-from .partitions import Bipartition, Partition, conjugate, glue
+from .partitions import Bipartition, Partition, _check_size, conjugate, glue
 from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter
 
 
@@ -146,8 +146,7 @@ def _specht_degree(shape: Bipartition) -> int:
 
 def reference_bitableau(shape: Bipartition, n: int) -> Bitableau:
     """Fill columns of the first tableau with 1,2,..., then the second's."""
-    if shape.size != n:
-        raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
+    _check_size(n, shape)
     counter = itertools.count(1)
     first = _fill_columns(shape.left, counter)
     second = _fill_columns(shape.right, counter)
@@ -188,8 +187,7 @@ def specht_generators(
     lex-leading term at the identity of the column group, with coefficient
     +1, so each comes out sign-normalized.
     """
-    if shape.size != n:
-        raise ValueError(f"shape {shape} has size {shape.size}, expected {n}")
+    _check_size(n, shape)
     left_heights, right_heights = conjugate(shape.left).parts, conjugate(shape.right).parts
     heights = left_heights + right_heights
     split = len(left_heights)

@@ -1185,6 +1185,12 @@ PARSER_TEXT = "() ,0123x+-*^"
 @example("(1,,2)", 0)
 @example("(1 2)", 1)
 @example("((1),(1)", 0)
+@example("\t(\n(2,\t1)\n,\t(1 ,)\n)\t\n", 3)
+@example("(\t3\n,\n", 0)
+@example("()", 3)
+@example("((1),())", 12)
+@example("((1),()) \t\n x", 0)
+@example("((1),())\n)", 0)
 def test_partition_parsers_match_the_scanning_references(text, offset):
     assert outcome(partitions.parse_bipartition, text) == outcome(scanning_parse_bipartition, text)
     assert outcome(partitions.parse_partition, text, offset) == outcome(

@@ -86,12 +86,16 @@ def test_reduce_examples():
 def test_empty_basis_is_the_zero_ideal(gens):
     gb = buchberger(gens)
     assert gb.generators == ()
-    x1 = p("x1", 2)
-    assert reduce(x1, gb) == x1
-    assert reduce(p("x1^2 - 3", 5), gb) == p("x1^2 - 3", 5)
-    assert not ideal_contains(gb, [x1])
-    assert ideal_contains(gb, [SparsePolynomial.zero(2), SparsePolynomial.zero(4)])
+    # the basis keeps the ring of its generators, n = 0 when there are none
+    q = p("x1^2 - 3", gb.n) if gb.n else p("-3", 0)
+    assert reduce(q, gb) == q
+    assert not ideal_contains(gb, [q])
+    assert ideal_contains(gb, [SparsePolynomial.zero(gb.n)])
     assert not gb.is_trivial
+    with pytest.raises(AmbientMismatchError):
+        reduce(p("x1^2 - 3", 5), gb)
+    with pytest.raises(AmbientMismatchError):
+        ideal_contains(gb, [SparsePolynomial.zero(gb.n), SparsePolynomial.zero(4)])
 
 
 def test_zero_ideal_keeps_its_ring_and_checks_its_order():

@@ -1,7 +1,9 @@
-"""Tests of the package namespace and of the benchmark's tracer hooks into it."""
+"""Tests of the package namespace, its source hygiene and the bench tracer's hooks into it."""
 
+import ast
 import importlib.util
 import types
+from collections import Counter
 from pathlib import Path
 
 import bnspecht
@@ -11,6 +13,77 @@ def test_all_lists_no_modules():
     assert bnspecht.__all__
     assert [n for n in bnspecht.__all__ if isinstance(getattr(bnspecht, n), types.ModuleType)] == []
     assert {"specht_generators", "ResourceLimits", "hasse_diagram"} <= set(bnspecht.__all__)
+
+
+SOURCES = sorted(Path(bnspecht.__file__).parent.glob("*.py"))
+
+
+def _read_names(tree) -> list[str]:
+    """Every name the tree reads, plain or as an attribute, once per read."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _private_definitions(tree):
+    """(name, defining statement) for each module-level private function, class or variable."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def source_hygiene(sources: dict[str, str]) -> list[str]:
+    """Module-level private names read only by their own definition, and unread imports.
+
+    `sources` maps each module's file name to its text. `__init__.py`
+    re-exports what it imports, so its imports are exempt.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _read_names(tree))
+    problems = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            if reads[name] == _read_names(definition).count(name):
+                problems.append(f"{module}: {name} is never used")
+        if module == "__init__.py":
+            continue
+        used = set(_read_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        problems.append(f"{module}: import of {bound} is never used")
+    return problems
+
+
+def test_sources_define_no_unused_private_names_or_imports():
+    assert source_hygiene({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_source_hygiene_finds_a_stale_helper_and_an_unused_import():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    sources["partitions.py"] += "\n\ndef _skip_space(text, i):\n    return _skip_space(text, i + 1)\n"
+    sources["partitions.py"] = sources["partitions.py"].replace(
+        "from .errors import ", "from .errors import ParseError, ", 1
+    )
+    assert source_hygiene(sources) == [
+        "partitions.py: _skip_space is never used",
+        "partitions.py: import of ParseError is never used",
+    ]
 
 
 def load_tracing():

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnspecht.cli import build_parser
 from bnspecht.errors import ParseError, SizeMismatchError
+from bnspecht.groebner import (
+    inclusion_by_certificates,
+    radical_report,
+    specht_ideal_contains,
+    universal_gb_check,
+)
+from bnspecht.invariants import rank_bound
 from bnspecht.partitions import (
     Bipartition,
     Partition,
@@ -26,6 +34,7 @@ from bnspecht.partitions import (
     parse_partition,
     partition_coverings_below,
 )
+from bnspecht.tableaux import reference_bitableau, specht_generators
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -273,3 +282,48 @@ def test_closure_matches_bidominance_small():
         for i, a in enumerate(h.vertices):
             for j, b in enumerate(h.vertices):
                 assert ((i, j) in closure) == bidominates(a, b)
+
+
+def run_command(*argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+TWO, ONE = bp((2,), ()), bp((1,), ())
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: reference_bitableau(TWO, 3), "shape ((2),()) has size 2, expected 3"),
+        (lambda: specht_generators(TWO, 3), "shape ((2),()) has size 2, expected 3"),
+        (lambda: rank_bound(TWO, 3), "shape ((2),()) has size 2, expected 3"),
+        (
+            lambda: run_command("variety", "--shape", "((2),())", "--n", "3"),
+            "shape ((2),()) has size 2, expected 3",
+        ),
+        (lambda: radical_report(TWO, 3), "shape ((2),()) has size 2, expected 3"),
+        (lambda: universal_gb_check(TWO, 3, ["lex"]), "shape ((2),()) has size 2, expected 3"),
+        (lambda: specht_ideal_contains(TWO, ONE, 2), "shapes must have size 2"),
+        (lambda: inclusion_by_certificates(TWO, ONE, 2), "shapes must have size 2"),
+        (
+            lambda: run_command("ideal-inc", "--a", "((2),())", "--b", "((1),())", "--n", "2"),
+            "shapes must have size 2",
+        ),
+    ],
+    ids=[
+        "reference_bitableau",
+        "specht_generators",
+        "rank_bound",
+        "cli-variety",
+        "radical_report",
+        "universal_gb_check",
+        "specht_ideal_contains",
+        "inclusion_by_certificates",
+        "cli-ideal-inc",
+    ],
+)
+def test_a_shape_of_the_wrong_size_raises_size_mismatch(call, message):
+    with pytest.raises(SizeMismatchError) as raised:
+        call()
+    assert str(raised.value) == message
