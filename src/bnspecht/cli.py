@@ -11,16 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
-from .errors import (
-    DEFAULT_LIMITS,
-    BnSpechtError,
-    ResourceLimitExceeded,
-    ResourceLimits,
-)
+from .errors import BnSpechtError, ResourceLimitExceeded, ResourceLimits
 from .groebner import (
     covering_certificate,
     inclusion_by_certificates,
@@ -101,9 +97,7 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def _limits(args) -> ResourceLimits:
-    return ResourceLimits(
-        max_basis=args.max_basis, max_terms=args.max_terms, max_cosets=args.max_cosets
-    )
+    return ResourceLimits(**{f.name: getattr(args, f.name) for f in fields(ResourceLimits)})
 
 
 def _cmd_poset(args) -> dict | str:
@@ -236,33 +230,37 @@ class _Parser(argparse.ArgumentParser):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bnspecht")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis)
-    common.add_argument("--max-terms", type=int, default=DEFAULT_LIMITS.max_terms)
-    common.add_argument("--max-cosets", type=int, default=DEFAULT_LIMITS.max_cosets)
     sub = parser.add_subparsers(dest="command", required=True)
 
     required, integer = {"required": True}, {"type": int, "required": True}
     n, shape, a, b = ("--n", integer), ("--shape", required), ("--a", required), ("--b", required)
     case = ("--case", {**integer, "choices": [3, 4]})
+    caps = [
+        (f"--{f.name.replace('_', '-')}", {"type": int, "default": f.default})
+        for f in fields(ResourceLimits)
+    ]
 
     def choice(flag, *values):
         return flag, {"choices": values, "default": values[0]}
 
-    commands = {  # name: (handler, *its options after the caps, in --help order)
+    commands = {  # name: (handler, *its options in --help order, caps first if read)
         "poset": (_cmd_poset, n),
         "order": (_cmd_order, a, b, choice("--relation", "bidom", "hecke", "induced")),
-        "specht": (_cmd_specht, shape, n, ("--all", {"action": "store_true"})),
-        "ideal-inc": (_cmd_ideal_inc, a, b, n, choice("--method", "groebner", "certificate")),
+        "specht": (_cmd_specht, *caps, shape, n, ("--all", {"action": "store_true"})),
+        "ideal-inc": (
+            _cmd_ideal_inc, *caps, a, b, n, choice("--method", "groebner", "certificate")
+        ),
         "variety": (_cmd_variety, shape, n),
         "orbit-type": (_cmd_orbit_type, ("--point", required)),
         "gamma": (_cmd_gamma, ("--poly", required), n),
-        "certify-cover": (_cmd_certify_cover, case, (a[0], integer), (b[0], integer)),
-        "conjecture": (_cmd_conjecture, shape, n, ("--orders", {"default": "lex,deglex,degrevlex"})),
+        "certify-cover": (_cmd_certify_cover, *caps, case, (a[0], integer), (b[0], integer)),
+        "conjecture": (
+            _cmd_conjecture, *caps, shape, n, ("--orders", {"default": "lex,deglex,degrevlex"})
+        ),
         "rank-bound": (_cmd_rank_bound, shape, n),
     }
     for name, (func, *options) in commands.items():
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
         for flag, settings in options:
             p.add_argument(flag, **settings)
         p.set_defaults(func=func)

@@ -1,6 +1,6 @@
 """Exception types and resource caps shared across the package."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class BnSpechtError(Exception):
@@ -41,11 +41,20 @@ class ParseError(BnSpechtError, ValueError):
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Caps turning potential blow-ups into structured failures."""
+    """Caps turning potential blow-ups into structured failures.
+
+    Each field is a non-negative integer and is the CLI cap option of the same
+    name (`max_basis` is `--max-basis`) on every subcommand that reads the caps.
+    """
 
     max_basis: int = 2000
     max_terms: int = 200000
     max_cosets: int = 10000
+
+    def __post_init__(self):
+        for f in fields(self):
+            if (value := getattr(self, f.name)) < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
 
     def check_basis(self, size: int):
         if size > self.max_basis:

@@ -236,7 +236,8 @@ def bn_orbit(P: SparsePolynomial) -> list[SparsePolynomial]:
     once per generator.
     """
     n = P.n
-    generators = [SignedPermutation.sign_flip(n, 1)] + [
+    generators = [SignedPermutation.sign_flip(n, 1)] if n else []
+    generators += [
         SignedPermutation.from_permutation(
             tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
         )

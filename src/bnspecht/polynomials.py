@@ -533,6 +533,7 @@ class SignedPermutation:
 
     @staticmethod
     def sign_flip(n: int, i: int) -> "SignedPermutation":
+        _check_index(n, i)
         return SignedPermutation(
             tuple(range(1, n + 1)), tuple(-1 if j == i else 1 for j in range(1, n + 1))
         )
@@ -593,6 +594,8 @@ def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
 
 def act_point(g: SignedPermutation, z) -> tuple[Fraction, ...]:
     """Left action on points compatible with act: (g . p)(z) = p(g^-1 . z)."""
+    if len(z) != g.n:
+        raise AmbientMismatchError(f"point has {len(z)} coordinates, group element has rank {g.n}")
     ginv = g.inverse()
     return tuple(g.signs[i] * Fraction(z[ginv.perm[i] - 1]) for i in range(g.n))
 

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
 from collections import OrderedDict
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnspecht.cli import EXIT_OK, EXIT_REJECTED, EXIT_RESOURCE, _json_text, build_parser, run
+from bnspecht.cli import (
+    EXIT_OK,
+    EXIT_REJECTED,
+    EXIT_RESOURCE,
+    _json_text,
+    _limits,
+    build_parser,
+    run,
+)
+from bnspecht.errors import ResourceLimits
 from bnspecht.partitions import parse_bipartition
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,8 +208,12 @@ def test_ideal_inclusion_checks_the_sizes_before_either_method(capsys, method):
         ),
         (("poset", "--n", "2", "--extra"), "bnspecht: unrecognized arguments: --extra"),
         ((), "bnspecht: the following arguments are required: command"),
+        (
+            ("poset", "--n", "2", "--max-basis", "5"),
+            "bnspecht: unrecognized arguments: --max-basis 5",
+        ),
     ],
-    ids=["missing", "not-an-int", "subcommand", "choice", "unrecognized", "empty"],
+    ids=["missing", "not-an-int", "subcommand", "choice", "unrecognized", "empty", "uncapped"],
 )
 def test_usage_errors_are_rejected_input(capsys, argv, error):
     code, out = invoke(capsys, *argv)
@@ -301,6 +316,52 @@ def test_back_to_back_runs_print_what_fresh_runs_print(capsys):
         got = invoke(capsys, *argv)
         assert got == expected and got[0] == code, argv
     assert build_parser.cache_info().misses == 1
+
+
+CAPPED = {
+    "specht": SPECHT_111,
+    "ideal-inc": IDEAL_INC,
+    "certify-cover": ("certify-cover", "--case", "3", "--a", "1", "--b", "1"),
+    "conjecture": ("conjecture", "--shape", "((1),(1))", "--n", "2"),
+}
+
+
+def test_only_the_subcommands_that_read_the_caps_accept_them():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 10
+    for name, p in sub.choices.items():
+        caps = [
+            (a.option_strings, a.dest, a.type, a.default)
+            for a in p._actions
+            if any(option.startswith("--max-") for option in a.option_strings)
+        ]
+        expected = [
+            ([f"--{f.name.replace('_', '-')}"], f.name, int, f.default)
+            for f in fields(ResourceLimits)
+        ]
+        assert caps == (expected if name in CAPPED else []), name
+
+
+@pytest.mark.parametrize("argv", CAPPED.values(), ids=CAPPED.keys())
+def test_every_capped_handler_reads_each_cap(argv):
+    caps = ("--max-basis", "7", "--max-terms", "8", "--max-cosets", "9")
+    args = build_parser().parse_args([*argv, *caps])
+    assert _limits(args) == ResourceLimits(max_basis=7, max_terms=8, max_cosets=9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("specht", "--shape", "((1),())", "--n", "1", "--max-terms", "-3"),
+        ("certify-cover", "--case", "3", "--a", "1", "--b", "1", "--max-cosets", "-1"),
+    ],
+)
+def test_a_negative_cap_is_rejected_input(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == EXIT_REJECTED
+    doc = json.loads(out)
+    assert doc["status"] == "rejected-input" and "must be non-negative" in doc["error"]
 
 
 def test_resource_exit_code(capsys):

@@ -764,6 +764,7 @@ ORBIT_CASES = [
     ("x1^2 + x2^2", 4),
     ("x1^2 + x2^2", 5),
     ("5", 4),
+    ("5", 0),
     ("0", 3),
     ("x1", 1),
     ("x2*x3*(x1^2 - 1)", 5),

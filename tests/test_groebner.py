@@ -154,6 +154,13 @@ def test_resource_limits_trip():
         buchberger(gens, "lex", ResourceLimits(max_basis=2))
 
 
+@pytest.mark.parametrize("field", ["max_basis", "max_terms", "max_cosets"])
+def test_a_cap_must_be_non_negative(field):
+    assert getattr(ResourceLimits(**{field: 0}), field) == 0
+    with pytest.raises(ValueError, match=f"{field} must be non-negative, got -1"):
+        ResourceLimits(**{field: -1})
+
+
 def test_basis_cap_holds_on_the_input_generators():
     gens = [p("x1", 3), p("x2", 3), p("x3", 3)]
     assert len(buchberger(gens, "lex").generators) == 3

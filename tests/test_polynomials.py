@@ -298,6 +298,18 @@ def test_sign_flip_action():
     assert act(flip, p) == parse_polynomial("-x1*x2 + x1^2", 2)
 
 
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_sign_flip_rejects_an_index_outside_the_rank(i):
+    with pytest.raises(AmbientMismatchError, match=f"variable x{i} outside ambient 1..2"):
+        SignedPermutation.sign_flip(2, i)
+
+
+@pytest.mark.parametrize("z", [(1, 2, 3), (1,), ()])
+def test_point_action_rejects_a_point_of_another_rank(z):
+    with pytest.raises(AmbientMismatchError, match=f"point has {len(z)} coordinates"):
+        act_point(SignedPermutation.sign_flip(2, 1), z)
+
+
 @given(signed_perms, signed_perms, polys)
 def test_action_respects_composition(g, h, p):
     assert act(g.compose(h), p) == act(g, act(h, p))
