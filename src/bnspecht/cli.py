@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from functools import cache
@@ -221,7 +222,14 @@ def _cmd_rank_bound(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise, so that `run` prints them as rejected input."""
+    """An argument parser whose usage errors raise, so that `run` prints them as rejected input.
+
+    An argument that starts with '-' and a digit is a value, such as the point `-1,2`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         raise BnSpechtError(f"{self.prog}: {message}")

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 
-from .errors import DEFAULT_LIMITS, NoConclusionError, NotApplicableError, ResourceLimits
+from .errors import (
+    DEFAULT_LIMITS,
+    AmbientMismatchError,
+    NoConclusionError,
+    NotApplicableError,
+    ResourceLimits,
+)
 from .partitions import Bipartition, Partition, _check_size, bidominates, conjugate, hasse_diagram
 from .polynomials import (
     Monomial,
@@ -85,6 +91,8 @@ def gamma_star(m: Monomial, n: int) -> Bipartition:
 def detect_specht_subideal(P: SparsePolynomial, n: int) -> list[tuple[Monomial, Bipartition]]:
     """Monomials of the top component certifying a Specht subideal of any
     invariant ideal containing P, paired with their class labels."""
+    if P.n != n:
+        raise AmbientMismatchError(f"polynomial in {P.n} variables, analysis at n={n}")
     if P.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
     top = P.top_component()

@@ -30,13 +30,15 @@ class Partition:
 
     def __post_init__(self):
         try:
-            parts = tuple(index(p) for p in self.parts if p != 0)
+            parts = tuple(map(index, self.parts))
         except TypeError:
             raise ValueError(f"non-integer part in {self.parts}") from None
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {self.parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not non-increasing: {self.parts}")
+        if 0 in parts:  # non-increasing, so the zeros trail
+            parts = parts[: parts.index(0)]
         object.__setattr__(self, "parts", parts)
 
     @cached_property

@@ -24,7 +24,7 @@ Coefficient = int | Fraction
 
 
 def _normalize(value) -> Coefficient:
-    """value exactly, as an int when it is integral and as a Fraction otherwise."""
+    """value exactly: an int when integral, else a Fraction; coefficients and points alike."""
     if type(value) is int:
         return value
     value = Fraction(value)
@@ -331,18 +331,18 @@ class SparsePolynomial:
     def substitute_squares(self) -> "SparsePolynomial":
         return SparsePolynomial(self.n, {tuple(2 * x for x in e): c for e, c in self.terms.items()})
 
-    def evaluate(self, point) -> Fraction:
-        coords = [Fraction(z) for z in point]
+    def evaluate(self, point) -> Coefficient:
+        coords = [_normalize(z) for z in point]
         if len(coords) != self.n:
             raise AmbientMismatchError(f"point has dimension {len(coords)}, expected {self.n}")
-        total = Fraction(0)
+        total = 0
         for exps, coeff in self.terms.items():
             value = coeff
             for z, e in zip(coords, exps):
                 if e:
                     value *= z**e
             total += value
-        return total
+        return _normalize(total)
 
     def extend(self, n: int) -> "SparsePolynomial":
         """Embed into a ring with more variables (new ones appended)."""
@@ -592,12 +592,12 @@ def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
     return SparsePolynomial(p.n, terms)
 
 
-def act_point(g: SignedPermutation, z) -> tuple[Fraction, ...]:
+def act_point(g: SignedPermutation, z) -> tuple[Coefficient, ...]:
     """Left action on points compatible with act: (g . p)(z) = p(g^-1 . z)."""
     if len(z) != g.n:
         raise AmbientMismatchError(f"point has {len(z)} coordinates, group element has rank {g.n}")
     ginv = g.inverse()
-    return tuple(g.signs[i] * Fraction(z[ginv.perm[i] - 1]) for i in range(g.n))
+    return tuple(g.signs[i] * _normalize(z[ginv.perm[i] - 1]) for i in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +660,7 @@ class _Parser:
         self.expect(")", "expected ',' or ')'")
         return tuple(parts)
 
-    def point(self) -> tuple[Fraction, ...]:
+    def point(self) -> tuple[Coefficient, ...]:
         """Comma-separated coordinates, each an optional sign and a number."""
         coords = []
         while True:
@@ -668,13 +668,13 @@ class _Parser:
             if sign in ("+", "-"):
                 self.pos += 1
                 self.skip_ws()
-            value = Fraction(self.number())
+            value = self.number()
             coords.append(-value if sign == "-" else value)
             if self.peek() != ",":
                 return tuple(coords)
             self.pos += 1
 
-    def number(self) -> int | Fraction:
+    def number(self) -> Coefficient:
         """An ASCII integer at pos, then optionally '/' and a nonzero denominator."""
         value = self.integer("expected a number")
         if self.peek() == "/":
@@ -684,7 +684,7 @@ class _Parser:
             denominator = self.integer("expected a denominator after '/'")
             if not denominator:
                 raise ParseError("zero denominator", start)
-            value = Fraction(value, denominator)
+            value = _exact_quotient(value, denominator)
         return value
 
     def expression(self) -> SparsePolynomial:
@@ -741,7 +741,7 @@ def parse_polynomial(text: str, n: int) -> SparsePolynomial:
     return _Parser(text, n).parse()
 
 
-def parse_point(text: str) -> tuple[Fraction, ...]:
+def parse_point(text: str) -> tuple[Coefficient, ...]:
     """Parse comma-separated rational coordinates such as '1/2, -3, 0'."""
     parser = _Parser(text)
     coords = parser.point()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import compress, zip_longest
 
@@ -27,13 +26,14 @@ from .partitions import (
     glue,
     hasse_diagram,
 )
+from .polynomials import Coefficient, _normalize
 from .tableaux import specht_generators
 
-Point = tuple[Fraction, ...]
+Point = tuple[Coefficient, ...]
 
 
 def as_point(coords) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(map(_normalize, coords))
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,12 @@ def orbit_representative(shape: Bipartition) -> Point:
         raise EmptyOrbitError(f"orbit set of {shape} is empty")
     lam, mu = shape.left.parts, shape.right.parts
     first = lam[0] if lam else 0
-    coords: list[Fraction] = []
+    coords: list[int] = []
     for i, part in enumerate(mu, start=1):
-        coords.extend([Fraction(i)] * (first + part))
-    coords.extend([Fraction(0)] * first)
+        coords.extend([i] * (first + part))
+    coords.extend([0] * first)
     for i in range(len(mu) + 1, len(lam)):
-        coords.extend([Fraction(i)] * lam[i])
+        coords.extend([i] * lam[i])
     return tuple(coords)
 
 
@@ -180,18 +180,18 @@ def decomposition_report(shape: Bipartition) -> dict:
 def witness_z1(shape: Bipartition) -> Point:
     """Blocks of distinct nonzero values with multiplicities from the glued shape."""
     merged = glue(shape.left, shape.right)
-    coords: list[Fraction] = []
+    coords: list[int] = []
     for i, mult in enumerate(merged.parts, start=1):
-        coords.extend([Fraction(i)] * mult)
+        coords.extend([i] * mult)
     return tuple(coords)
 
 
 def witness_z2(shape: Bipartition) -> Point:
     """Leading zeros, then blocks mixing the right parts with the shifted left parts."""
     lam, mu = shape.left.parts, shape.right.parts
-    coords: list[Fraction] = [Fraction(0)] * (lam[0] if lam else 0)
+    coords: list[int] = [0] * (lam[0] if lam else 0)
     for i, (x, y) in enumerate(zip_longest(mu, lam[1:], fillvalue=0), start=1):
-        coords.extend([Fraction(i)] * (x + y))
+        coords.extend([i] * (x + y))
     return tuple(coords)
 
 

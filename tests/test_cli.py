@@ -259,6 +259,10 @@ def test_orbit_type_rejects_a_zero_denominator(capsys, point):
         ("+-1", "expected a number (at position 1)"),
         ("1/", "expected a denominator after '/' (at position 2)"),
         ("2,-1/0,0", "zero denominator (at position 5)"),
+        ("-1,", "expected a number (at position 3)"),
+        ("-1/0,2", "zero denominator (at position 3)"),
+        ("-2,x", "expected a number (at position 3)"),
+        ("-x", "bnspecht orbit-type: argument --point: expected one argument"),
     ],
 )
 def test_orbit_type_reads_the_polynomial_number_grammar(capsys, point, error):
@@ -470,6 +474,7 @@ ENVELOPES = [
     ("rank-bound", ("rank-bound", "--shape", "((1),(1))", "--n", "2"), EXIT_OK),
     ("rejected-non-ascii", ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"), EXIT_REJECTED),
     ("rejected-digit", ("order", "--a", "((\u00b2),())", "--b", "((1),())"), EXIT_REJECTED),
+    ("rejected-inner-zero", ("order", "--a", "((0,2),())", "--b", "((2),())"), EXIT_REJECTED),
     ("resource", IDEAL_INC + ("--max-basis", "2"), EXIT_RESOURCE),
     ("usage", ("variety", "--shape", "((1),())"), EXIT_REJECTED),
 ]

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnspecht.errors import NoConclusionError, NotApplicableError, ResourceLimitExceeded
+from bnspecht.errors import (
+    AmbientMismatchError,
+    NoConclusionError,
+    NotApplicableError,
+    ResourceLimitExceeded,
+)
 from bnspecht.groebner import ResourceLimits, buchberger, ideal_contains
 from bnspecht import invariants
 from bnspecht.invariants import (
@@ -96,6 +101,16 @@ def test_excluded_orbit_classes_match_bidominance():
     top = bp((1, 1), (2,))
     expected = [s for s in enumerate_bipartitions(4) if bidominates(top, s)]
     assert excluded_orbit_classes(P, 4) == expected
+
+
+@pytest.mark.parametrize(
+    "analysis", [detect_specht_subideal, maximal_detected, excluded_orbit_classes, detection_report]
+)
+@pytest.mark.parametrize("text, ring, n", [("x5", 5, 3), ("x4^2", 4, 2), ("x1", 2, 4)])
+def test_detection_rejects_a_polynomial_from_another_ring(analysis, text, ring, n):
+    message = f"polynomial in {ring} variables, analysis at n={n}"
+    with pytest.raises(AmbientMismatchError, match=message):
+        analysis(parse_polynomial(text, ring), n)
 
 
 def test_rank_bound_examples():

@@ -86,6 +86,43 @@ def test_source_hygiene_finds_a_stale_helper_and_an_unused_import():
     ]
 
 
+def fraction_constructions(sources: dict[str, str]) -> list[str]:
+    """Each `Fraction(...)` call outside `polynomials._normalize` and `_exact_quotient`.
+
+    Those two helpers decide how an exact number is stored, for coefficients,
+    point coordinates and values alike; every other module goes through them.
+    """
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners = [
+            node
+            for node in tree.body
+            if module == "polynomials.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in ("_normalize", "_exact_quotient")
+        ]
+        allowed = {id(node) for owner in owners for node in ast.walk(owner)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Fraction":
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_the_coefficient_helpers_construct_a_fraction():
+    assert fraction_constructions({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_fraction_scan_finds_an_added_construction():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    line = sources["varieties.py"].count("\n") + 3
+    sources["varieties.py"] += "\n\nONE = Fraction(1)\n"
+    assert fraction_constructions(sources) == [f"varieties.py:{line}"]
+
+
 def load_tracing():
     """bench/tracing.py, loaded by path; the file is only read."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

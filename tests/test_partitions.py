@@ -44,10 +44,15 @@ partitions = st.lists(st.integers(1, 6), max_size=5).map(
 def test_partition_canonical_form():
     assert Partition((3, 2, 0, 0)).parts == (3, 2)
     assert Partition(()).parts == ()
+    assert Partition((0, 0)).parts == ()
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((-1,))
+    with pytest.raises(ValueError, match="not non-increasing"):
+        Partition((0, 2))
+    with pytest.raises(ValueError, match="not non-increasing"):
+        Partition((2, 0, 1))
 
 
 @pytest.mark.parametrize("parts", [(2.5, 1), ("2",), (2.0,), (1, "0")])

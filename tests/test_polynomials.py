@@ -151,7 +151,7 @@ def test_rational_literal_errors(text, message):
 def test_points_read_the_coefficient_literals():
     point = parse_point(" 2, -1/2 ,+ 3/ 6,0")
     assert point == (2, Fraction(-1, 2), Fraction(1, 2), 0)
-    assert all(type(c) is Fraction for c in point)
+    assert [type(c) for c in point] == [int, Fraction, Fraction, int]
     with pytest.raises(ParseError) as err:
         parse_point("1, 2/0")
     assert err.value.position == 5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bnspecht.errors import EmptyOrbitError, SizeMismatchError
 from bnspecht.partitions import Partition, bidominates, bp, enumerate_bipartitions
-from bnspecht.polynomials import SignedPermutation, act_point
+from bnspecht.polynomials import SignedPermutation, act_point, parse_point, parse_polynomial
 from bnspecht.varieties import (
     bn_orbit_type,
     decompose_variety,
@@ -19,6 +19,7 @@ from bnspecht.varieties import (
     orbit_set_nonempty,
     phi,
     sn_orbit_type,
+    as_point,
     variety_contains,
     witness_z1,
     witness_z2,
@@ -118,7 +119,7 @@ def test_point_is_never_in_the_variety_of_its_own_type():
 
 
 def test_strategies_agree_on_representatives():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         reps = [
             orbit_representative(s)
             for s in enumerate_bipartitions(n)
@@ -129,6 +130,28 @@ def test_strategies_agree_on_representatives():
                 assert variety_contains(shape, z, "evaluate") == variety_contains(
                     shape, z, "orbit"
                 ), (str(shape), z)
+
+
+def _exact(value) -> bool:
+    """The coefficient convention: an int when integral, else a Fraction with denominator > 1."""
+    return type(value) is int or type(value) is Fraction and value.denominator > 1
+
+
+def test_points_and_values_follow_the_coefficient_convention():
+    point = parse_point("4/2, -1/2, 3, 0/5")
+    assert point == (2, Fraction(-1, 2), 3, 0) and all(map(_exact, point))
+    moved = act_point(SignedPermutation((2, 1, 3, 4), (-1, 1, 1, 1)), (Fraction(6, 3), 0.5, 1, 0))
+    assert moved == (-Fraction(1, 2), 2, 1, 0) and all(map(_exact, moved))
+    coords = as_point((Fraction(6, 3), 0.5, 7, True))
+    assert coords == (2, Fraction(1, 2), 7, 1) and all(map(_exact, coords))
+    p = parse_polynomial("2*x1*x2 + x3 - 1/3*x4", 4)
+    values = [p.evaluate(z) for z in [point, (1, 1, 1, 3), (Fraction(1, 2), 1, 0, 0), (1, 1, 1, 1)]]
+    assert values == [1, 2, 1, Fraction(8, 3)] and all(map(_exact, values))
+    for shape in enumerate_bipartitions(4):
+        points = [witness_z1(shape), witness_z2(shape)]
+        if orbit_set_nonempty(shape):
+            points.append(orbit_representative(shape))
+        assert all(type(c) is int for z in points for c in z), str(shape)
 
 
 def test_decompose_variety_example():
