@@ -45,6 +45,7 @@ from .partitions import (
     hasse_diagram,
 )
 from .polynomials import (
+    Monomial,
     SparsePolynomial,
     _alternating_sum,
     _column_expansion,
@@ -105,7 +106,7 @@ def reduce(
         return SparsePolynomial(p.n, codec.unpack_terms(terms.items()))
 
     largest = max(_largest_exponent((p,)), gb._largest_generator_exponent)
-    return _packed_run(gb.n, gb.order, largest, remainder)
+    return _packed_run(gb.n, gb.order, (p, *gb.generators), remainder, largest)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +122,26 @@ class _FieldOverflow(Exception):
     """A popped monomial set a guard bit: the call must rerun with wider fields."""
 
 
-def _packed_run(n: int, order: str, largest_exponent: int, run):
+def _packed_run(n: int, order: str, inputs, run, largest_exponent: int | None = None):
     """run(codec), with fields wide enough for every monomial that run meets.
 
-    The first width holds largest_exponent with headroom; each overflow
-    reruns the whole call at double the width.
+    The first width holds the largest exponent of the input polynomials
+    (largest_exponent, when the caller knows it) with headroom; each overflow
+    reruns the whole call at double the width. A negative exponent sets a
+    guard bit at every width, so an overflow first looks for one in the
+    inputs and raises ValueError if it finds one.
     """
+    if largest_exponent is None:
+        largest_exponent = _largest_exponent(inputs)
     width = _field_width(largest_exponent)
     while True:
         try:
             return run(_monomial_codec(n, order, width))
         except _FieldOverflow:
+            for p in inputs:
+                for exps in p.terms:
+                    if min(exps) < 0:
+                        raise ValueError(f"negative exponent in {Monomial(exps)}") from None
             width *= 2
 
 
@@ -344,7 +354,7 @@ def buchberger(
         reduced = _reduce_basis(list(_grown_basis(gens, codec, limits)), codec, limits)
         return tuple(SparsePolynomial(n, codec.unpack_terms(_divisor_terms(d))) for d in reduced)
 
-    return GroebnerBasis(_packed_run(n, order, _largest_exponent(gens), reduced_basis), order, n)
+    return GroebnerBasis(_packed_run(n, order, gens, reduced_basis), order, n)
 
 
 def _grown_basis(gens, codec, limits: ResourceLimits, max_sugar: float = inf):
@@ -437,7 +447,7 @@ def specht_ideal_contains(
         basis = list(_grown_basis(gens, codec, limits, d))
         return not _normal_form(codec.pack_terms(f.terms), basis, codec, limits)
 
-    return _packed_run(n, order, _largest_exponent([*gens, f]), contains)
+    return _packed_run(n, order, [*gens, f], contains)
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +508,14 @@ def covering_certificate(
     # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
     # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
     # union -> image_a + rest, which fixes B2 and so R: build the A term once, then relabel.
-    # Each product is capped before it is formed: the A term can outgrow the target.
-    base = _column_expansion(n, (set_a, set_b1), 2)
+    # With j placed last, V^2(A + (j,)) = V^2(A) prod_{i in A} (x_i^2 - x_j^2), so the first
+    # B2 variable joins A's column, and case 4's x_i^2 factors are offsets of A's entries:
+    # one column expansion. Only the other B2 binomials are multiplied in, each product
+    # capped before it is formed: the A term can outgrow the target.
+    base = _column_expansion(n, (set_a + set_b2[:1], set_b1), 2, set_a * 2 if extra else ())
     for i in set_a:
-        xi2 = SparsePolynomial.variable(n, i, 2)
-        factors = [xi2 - SparsePolynomial.variable(n, j, 2) for j in set_b2] + [xi2] * extra
-        for factor in factors:
+        for j in set_b2[1:]:
+            factor = SparsePolynomial.variable(n, i, 2) - SparsePolynomial.variable(n, j, 2)
             limits.check_terms(len(base.terms) * len(factor.terms))
             base = base * factor
     target = vandermonde_squares(n, union)
@@ -591,7 +603,7 @@ def radical_membership(
         # the packed key 0 is the monomial 1, which leads only a constant
         return any(lead == 0 for _, lead, _, _ in _grown_basis(lifted, codec, limits))
 
-    return _packed_run(n + 1, "deglex", _largest_exponent(lifted), finds_unit)
+    return _packed_run(n + 1, "deglex", lifted, finds_unit)
 
 
 def radical_report(
@@ -677,4 +689,4 @@ def _passes_buchberger_criterion(polys, order: str, limits: ResourceLimits) -> b
         remainders = _s_pair_remainders(_pack_divisors(polys, codec), sugars, codec, limits)
         return next(remainders, None) is None
 
-    return _packed_run(polys[0].n, order, _largest_exponent(polys), passes)
+    return _packed_run(polys[0].n, order, polys, passes)

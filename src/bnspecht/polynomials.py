@@ -73,7 +73,7 @@ def _monomial_text(exps: Exponents) -> str:
     """x1^2*x3 for (2, 0, 1), and 1 when every exponent is zero."""
     if not any(exps):
         return "1"
-    return "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e)
+    return "*".join(f"x{i + 1}^{e}" if e != 1 else f"x{i + 1}" for i, e in enumerate(exps) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,10 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     prod S_h whose prod h! terms are distinct monomials with int coefficient +-1,
     built here without any polynomial multiplication: `_column_product` lists
     them in slot order, the column entries one slot each, and `_scatter` moves
-    each term's slots to its variables. An odd variable in a column is an
-    offset of its slot; the others, and a zero slot for any variable in
-    neither, lead every term.
+    each term's slots to its variables. An index repeated in odd is a
+    multiplicity: odd = (1, 1) multiplies by x_1^2. An odd variable in a
+    column is an offset of its slot; the others, and a zero slot for any
+    variable in neither, lead every term.
     """
     flat = [i for col in columns for i in col]
     in_columns = set(flat)

@@ -678,6 +678,50 @@ def test_certificates_under_the_product_cap_verify(case, a, b, peak, monkeypatch
     assert sizes == [peak]
 
 
+def product_coset_term(case, a, b):
+    """The A term V^2(A) V^2(B1) prod_{i in A} R(x_i^2) [x_i^2], one binomial at a time."""
+    extra = case == 4
+    n = a + 2 * b + extra
+    set_a = range(1, a + 1)
+    base = product_vandermonde(n, set_a, 2) * product_vandermonde(
+        n, range(a + 1, a + b + extra + 1), 2
+    )
+    for i in set_a:
+        xi2 = SparsePolynomial.variable(n, i, 2)
+        for j in range(a + b + extra + 1, n + 1):
+            base = base * (xi2 - SparsePolynomial.variable(n, j, 2))
+        if extra:
+            base = base * xi2
+    return base
+
+
+BENCH_COVER_CASES = sorted(
+    tuple(map(int, key.split("/")[2:]))
+    for key in json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    if key.startswith("poly-construct/cover/")
+)
+
+
+class CosetTermCaptured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case,a,b", BENCH_COVER_CASES + [(3, 2, 5), (3, 3, 4)])
+def test_coset_term_matches_the_product_route(case, a, b, monkeypatch):
+    """The polynomial the certificate symmetrizes, against the binomial products it replaces:
+    every certificate of the poly-construct benchmark, and the two at the product cap's peaks."""
+    captured = []
+
+    def alternating_sum(base, *rest):
+        captured.append(base)
+        raise CosetTermCaptured
+
+    monkeypatch.setattr(groebner, "_alternating_sum", alternating_sum)
+    with pytest.raises(CosetTermCaptured):
+        covering_certificate(case, a, b)
+    assert captured == [product_coset_term(case, a, b)]
+
+
 def test_cli_certify_cover_caps_the_products(capsys):
     start = time.perf_counter()
     assert run(["certify-cover", "--case", "3", "--a", "1", "--b", "7"]) == EXIT_RESOURCE

@@ -186,6 +186,32 @@ def test_term_cap_holds_inside_the_inter_reduction():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("order", ORDER_TAGS)
+def test_a_negative_exponent_is_rejected_not_widened_forever(order):
+    """A negative exponent sets a guard bit at every field width: ValueError, not a hang."""
+    inverse = SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        buchberger([inverse, p("x1*x2 - 1", 2)], order)
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        reduce(inverse, buchberger([p("x1*x2 - 1", 2)], order))
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        radical_membership(inverse, [p("x1*x2 - 1", 2)])
+    assert time.perf_counter() - start < 1
+
+
+def test_covering_certificates_match_the_recorded_bench_digests():
+    """Every covering certificate of the poly-construct benchmark, against its recorded digest."""
+    expected = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    prefix = "poly-construct/cover/"
+    pinned = {key: digest for key, digest in expected.items() if key.startswith(prefix)}
+    for key, digest in pinned.items():
+        case, a, b = map(int, key[len(prefix) :].split("/"))
+        text = json.dumps(covering_certificate(case, a, b).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, key
+    assert len(pinned) == 34
+
+
 def test_reduced_bases_match_the_recorded_bench_digests():
     """Every n = 5 and n = 6 basis of the groebner-sweep benchmark, against its recorded digest."""
     expected = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())

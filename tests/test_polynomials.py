@@ -178,6 +178,7 @@ def test_string_form_examples():
     assert str(p) == "x1^2 - x2^2"
     assert str(SparsePolynomial.zero(2)) == "0"
     assert str(SparsePolynomial(2, {(1, 1): Fraction(-3)})) == "-3*x1*x2"
+    assert str(SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})) == "x2 + x1^-1"  # not "x2 + x1"
 
 
 def test_parser_errors_carry_positions():
@@ -498,6 +499,7 @@ def expansions(draw):
 @example((5, [(1, 3, 4), (2,)], 2, [1, 3, 4]))  # the odd set covers a whole column
 @example((5, [(1, 3, 4), (2,)], 2, [3]))  # part of a column
 @example((6, [(2, 5), (), (1, 3)], 1, [4, 6, 6, 5, 2]))  # outside every column, x6 twice
+@example((4, [(1, 2, 4), (3,)], 2, [1, 1, 2, 2]))  # a covering certificate's offset-2 column
 def test_column_expansion_is_the_product_of_its_binomials(case):
     n, columns, step, odd = case
     expanded = _column_expansion(n, columns, step, odd)
