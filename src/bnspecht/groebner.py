@@ -40,7 +40,6 @@ from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits
 from .partitions import (
     Bipartition,
     _check_size,
-    bidominates,
     enumerate_bipartitions,
     hasse_diagram,
 )
@@ -82,7 +81,8 @@ class GroebnerBasis:
 
     @cached_property
     def _largest_generator_exponent(self) -> int:
-        """The largest exponent of the generators, read once for `reduce`'s field width."""
+        """The generators' largest exponent, for `reduce`'s field width; a negative one raises."""
+        _reject_negative_exponents(self.generators)
         return _largest_exponent(self.generators)
 
 
@@ -138,11 +138,18 @@ def _packed_run(n: int, order: str, inputs, run, largest_exponent: int | None = 
         try:
             return run(_monomial_codec(n, order, width))
         except _FieldOverflow:
-            for p in inputs:
-                for exps in p.terms:
-                    if min(exps) < 0:
-                        raise ValueError(f"negative exponent in {Monomial(exps)}") from None
+            _reject_negative_exponents(inputs)
             width *= 2
+
+
+def _reject_negative_exponents(polys) -> None:
+    """Raise ValueError naming the first term of polys with a negative exponent.
+
+    `reduce` checks its basis here, as it never pops a divisor's lead to guard-check it.
+    """
+    for exps in itertools.chain.from_iterable(p.terms for p in polys):
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {Monomial(exps)}") from None
 
 
 def _divisor(terms: dict, sign: int) -> tuple:
@@ -551,11 +558,12 @@ def inclusion_by_certificates(
     n: int,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> InclusionReport:
-    """Exhibit a covering chain from b up to a; witness each step if n is small."""
+    """Exhibit the diagram's covering chain from a down to b; witness each step if n is small.
+
+    `HasseDiagram.covering_chain` raises ValueError if a does not bidominate b.
+    """
     _check_size(n, a, b)
-    if not bidominates(a, b):
-        raise ValueError(f"{a} does not bidominate {b}")
-    chain = tuple(_covering_chain(a, b))
+    chain = tuple(hasse_diagram(n).covering_chain(a, b))
     verified = ()
     if n <= _GROEBNER_WITNESS_MAX_N:
         verified = tuple(
@@ -563,15 +571,6 @@ def inclusion_by_certificates(
             for upper, lower in zip(chain, chain[1:])
         )
     return InclusionReport(True, chain, verified)
-
-
-def _covering_chain(a: Bipartition, b: Bipartition) -> list[Bipartition]:
-    """A path a = c_0 > c_1 > ... > c_k = b; each step is the first cover whose down-set holds b."""
-    diagram = hasse_diagram(a.size)
-    target, chain = diagram.index(b), [diagram.index(a)]
-    while chain[-1] != target:
-        chain.append(next(c for c in diagram._below[chain[-1]] if diagram._down[c] >> target & 1))
-    return [diagram.vertices[i] for i in chain]
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +664,9 @@ def universal_gb_check(
     orders = list(orders)
     for tag in orders:
         _parse_order(tag)  # an unknown tag fails before any generator is built
-    diagram = hasse_diagram(n)
-    below = diagram.down_set(shape)
     # generators of distinct shapes are distinct polynomials (unique factorisation)
-    candidate = [
-        g
-        for i, other in enumerate(diagram.vertices)
-        if below >> i & 1
-        for g in specht_generators(other, n, limits)
-    ]
+    below = hasse_diagram(n).vertices_below(shape)
+    candidate = [g for other in below for g in specht_generators(other, n, limits)]
     results = tuple((tag, _passes_buchberger_criterion(candidate, tag, limits)) for tag in orders)
     return UniversalGBReport(shape, n, results, len(candidate))
 

@@ -113,7 +113,7 @@ def maximal_detected(P: SparsePolynomial, n: int) -> list[Bipartition]:
 
 def excluded_orbit_classes(P: SparsePolynomial, n: int) -> list[Bipartition]:
     """Classes guaranteed to miss the zero set of any invariant ideal containing P."""
-    return _below_any(maximal_detected(P, n), n)
+    return hasse_diagram(n).vertices_below(*maximal_detected(P, n))
 
 
 def _maxima(labels) -> list[Bipartition]:
@@ -124,13 +124,6 @@ def _maxima(labels) -> list[Bipartition]:
         (g for g in detected if not any(h != g and bidominates(h, g) for h in detected)),
         key=Bipartition.sort_key,
     )
-
-
-def _below_any(maxima, n: int) -> list[Bipartition]:
-    """The union of the down-sets of maxima in BP_n, in vertex order."""
-    diagram = hasse_diagram(n)
-    below = diagram.down_set(*maxima)
-    return [other for i, other in enumerate(diagram.vertices) if below >> i & 1]
 
 
 @cache
@@ -161,7 +154,7 @@ def detection_report(P: SparsePolynomial, n: int) -> dict:
     try:
         maxima = _maxima(detected.values())
         report["maximal_gamma_star"] = [str(g) for g in maxima]
-        report["excluded_classes"] = [str(c) for c in _below_any(maxima, n)]
+        report["excluded_classes"] = [str(c) for c in hasse_diagram(n).vertices_below(*maxima)]
         report["rank_bound"] = min(rank_bound(g, n) for g in maxima)
     except NoConclusionError:
         report["maximal_gamma_star"] = []

@@ -6,9 +6,10 @@ routine needs rows past the length; `Partition.at` is the public 1-based
 accessor. Dominance, bidominance and the Hecke order all compare prefix
 sums in `_dominated`, and both covering routines walk the Brylawski moves
 of `_brylawski_moves`. `hasse_diagram(n)` builds BP_n's diagram once per n
-and hands every caller the same immutable object, whose down-set bitsets
-answer every "what lies below" query. Partitions and bipartitions are read
-from text by `polynomials._Parser`, the package's one scanner.
+and hands every caller the same immutable object, which answers every "what
+lies below" query: covering chains and down-set members, not just bitsets.
+Partitions and bipartitions are read from text by `polynomials._Parser`,
+the package's one scanner.
 """
 
 from __future__ import annotations
@@ -384,6 +385,20 @@ class HasseDiagram:
     def down_set(self, *tops: Bipartition) -> int:
         """Bit i is set iff one of the tops bidominates vertex i: the union of their down-sets."""
         return reduce(or_, (self._down[self.index(top)] for top in tops), 0)
+
+    def vertices_below(self, *tops: Bipartition) -> list[Bipartition]:
+        """The vertices in the union of the tops' down-sets, in vertex order."""
+        below = self.down_set(*tops)
+        return [v for i, v in enumerate(self.vertices) if below >> i & 1]
+
+    def covering_chain(self, top: Bipartition, bottom: Bipartition) -> list[Bipartition]:
+        """The covers top > ... > bottom, each step the first cover whose down-set holds bottom."""
+        down, target, chain = self._down, self.index(bottom), [self.index(top)]
+        if not down[chain[0]] >> target & 1:
+            raise ValueError(f"{top} does not bidominate {bottom}")
+        while chain[-1] != target:
+            chain.append(next(c for c in self._below[chain[-1]] if down[c] >> target & 1))
+        return [self.vertices[i] for i in chain]
 
     def closure(self) -> set[tuple[int, int]]:
         """Reflexive-transitive closure of the covering edges, as index pairs."""

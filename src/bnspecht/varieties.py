@@ -77,13 +77,13 @@ def orbit_representative(shape: Bipartition) -> Point:
         raise EmptyOrbitError(f"orbit set of {shape} is empty")
     lam, mu = shape.left.parts, shape.right.parts
     first = lam[0] if lam else 0
-    coords: list[int] = []
-    for i, part in enumerate(mu, start=1):
-        coords.extend([i] * (first + part))
-    coords.extend([0] * first)
-    for i in range(len(mu) + 1, len(lam)):
-        coords.extend([i] * lam[i])
-    return tuple(coords)
+    rest = len(mu) + 1  # the first row of lam past the zero block
+    return _blocks([first + part for part in mu]) + (0,) * first + _blocks(lam[rest:], rest)
+
+
+def _blocks(sizes, start: int = 1) -> Point:
+    """The value start repeated sizes[0] times, then start + 1 repeated sizes[1] times, ..."""
+    return tuple(i for i, size in enumerate(sizes, start) for _ in range(size))
 
 
 def variety_contains(shape: Bipartition, z, strategy: str = "orbit") -> bool:
@@ -179,20 +179,14 @@ def decomposition_report(shape: Bipartition) -> dict:
 
 def witness_z1(shape: Bipartition) -> Point:
     """Blocks of distinct nonzero values with multiplicities from the glued shape."""
-    merged = glue(shape.left, shape.right)
-    coords: list[int] = []
-    for i, mult in enumerate(merged.parts, start=1):
-        coords.extend([i] * mult)
-    return tuple(coords)
+    return _blocks(glue(shape.left, shape.right).parts)
 
 
 def witness_z2(shape: Bipartition) -> Point:
     """Leading zeros, then blocks mixing the right parts with the shifted left parts."""
     lam, mu = shape.left.parts, shape.right.parts
-    coords: list[int] = [0] * (lam[0] if lam else 0)
-    for i, (x, y) in enumerate(zip_longest(mu, lam[1:], fillvalue=0), start=1):
-        coords.extend([i] * (x + y))
-    return tuple(coords)
+    mixed = (x + y for x, y in zip_longest(mu, lam[1:], fillvalue=0))
+    return _blocks((lam[0] if lam else 0, *mixed), start=0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -50,11 +51,10 @@ from bnspecht.errors import (
     ResourceLimits,
     SizeMismatchError,
 )
-from bnspecht import cli, groebner, invariants, partitions, polynomials, varieties
+from bnspecht import cli, groebner, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
-    _covering_chain,
     covering_certificate,
     ideal_contains,
     inclusion_by_certificates,
@@ -281,13 +281,13 @@ def pairwise_up_sets(n):
 
 
 def filtered_below_any(maxima, n):
-    """_below_any filtering BP_n through pairwise bidominance, each pair tested once per n."""
+    """HasseDiagram.vertices_below, filtering BP_n by pairwise bidominance tested once per n."""
     tops = set(maxima)
     return [other for other, above in pairwise_up_sets(n).items() if not above.isdisjoint(tops)]
 
 
 def dfs_covering_chain(a, b):
-    """_covering_chain as a DFS over freshly built covers, pruned by pairwise bidominance."""
+    """HasseDiagram.covering_chain as a DFS over freshly built covers, pruned by bidominance."""
     if a == b:
         return [a]
     for c in bipartition_coverings_below(a):
@@ -907,7 +907,7 @@ def test_below_any_matches_the_filtered_reference(n):
     vertices = list(pairwise_up_sets(n))
     for k in range(4):
         for tops in itertools.combinations(vertices, k):
-            assert invariants._below_any(tops, n) == filtered_below_any(tops, n), tops
+            assert hasse_diagram(n).vertices_below(*tops) == filtered_below_any(tops, n), tops
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -915,7 +915,19 @@ def test_covering_chains_match_the_dfs_reference(n):
     shapes = enumerate_bipartitions(n)
     for a, b in itertools.product(shapes, repeat=2):
         if bidominates(a, b):
-            assert _covering_chain(a, b) == dfs_covering_chain(a, b), (a, b)
+            assert hasse_diagram(a.size).covering_chain(a, b) == dfs_covering_chain(a, b), (a, b)
+
+
+def test_chain_and_down_set_queries_refuse_pairs_off_the_diagram():
+    """The bidominance guard names the pair; a vertex of another BP_n is named too."""
+    a, b = bp((1, 1), ()), bp((1,), (1,))
+    with pytest.raises(ValueError, match=re.escape(f"{a} does not bidominate {b}")):
+        inclusion_by_certificates(a, b, 2)
+    diagram, stranger = hasse_diagram(3), bp((2,), ())
+    for top, bottom in [(bp((3,), ()), stranger), (stranger, bp((1, 1, 1), ()))]:
+        with pytest.raises(ValueError, match=re.escape(f"{stranger} is not a vertex of BP_3")):
+            diagram.covering_chain(top, bottom)
+    assert diagram.vertices_below() == []
 
 
 @pytest.mark.parametrize("n", range(13))

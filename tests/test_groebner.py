@@ -197,6 +197,12 @@ def test_a_negative_exponent_is_rejected_not_widened_forever(order):
         reduce(inverse, buchberger([p("x1*x2 - 1", 2)], order))
     with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
         radical_membership(inverse, [p("x1*x2 - 1", 2)])
+    # a hand-built basis: no divisor's lead is ever popped, so no guard bit reports it
+    hand_built = GroebnerBasis((SparsePolynomial(2, {(-1, 0): 1}),), order, 2)
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        reduce(p("x2", 2), hand_built)
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        ideal_contains(hand_built, [p("x2", 2)])
     assert time.perf_counter() - start < 1
 
 

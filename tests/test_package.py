@@ -86,6 +86,43 @@ def test_source_hygiene_finds_a_stale_helper_and_an_unused_import():
     ]
 
 
+def foreign_private_reads(sources: dict[str, str]) -> list[str]:
+    """Each `obj._name` load in a module that neither defines nor assigns `_name`.
+
+    A module owns the private names of the functions and classes it defines
+    and of the names and attributes it assigns; reading any other object's
+    private attribute reaches into a module's internals.
+    """
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owned = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owned.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                owned.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                owned.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+                if name.startswith("_") and not name.startswith("__") and name not in owned:
+                    found.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    assert foreign_private_reads({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_private_read_scan_finds_an_added_read():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    line = sources["invariants.py"].count("\n") + 3
+    sources["invariants.py"] += "\n\nTOP = hasse_diagram(3)._down[0]\n"
+    assert foreign_private_reads(sources) == [f"invariants.py:{line} hasse_diagram(3)._down"]
+
+
 def fraction_constructions(sources: dict[str, str]) -> list[str]:
     """Each `Fraction(...)` call outside `polynomials._normalize` and `_exact_quotient`.
 
