@@ -1,9 +1,12 @@
 """Command-line interface: every analysis as a reproducible batch command.
 
 Every run prints one JSON envelope through `_json_text`, usage errors
-included. A `variety` query's class rows and representatives are rendered to
-JSON text once per n (`_variety_rows`); each query selects its rows with one
-down-set bit test each and splices their text into its envelope.
+included. An argv that starts with a subcommand goes straight to that
+subcommand's parser (`_parse`), which gives what the nested parse gives: the
+top-level parser would hand it every string after the command unchanged. A
+`variety` query's class rows and representatives are rendered to JSON text
+once per n (`_variety_rows`); each query selects its rows with one down-set
+bit test each and splices their text into its envelope.
 """
 
 from __future__ import annotations
@@ -275,12 +278,40 @@ def build_parser() -> argparse.ArgumentParser:
     group = sub.choices["poset"].add_mutually_exclusive_group()
     group.add_argument("--dot", action="store_true")
     group.add_argument("--json", action="store_true")
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with a subcommand's argv read by its parser alone.
+
+    The top-level parser's subparsers action takes every string after the
+    command, `--` included, before the top level's own `-h` can act, and
+    passes them unchanged to the subcommand's parser. The top level then only
+    sets `command` and rejects the leftovers, as here. Any other argv (empty,
+    `--help`, an unknown command) goes to the top-level parser.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def run(argv) -> int:
+    """Run one `bnspecht` call; print its envelope (or DOT text) and return its exit code.
+
+    argv that starts with a subcommand goes straight to that subcommand's
+    parser (`_parse`). The nested parse would hand it the same strings and add
+    only `command` and the unrecognized-arguments error, so the outcome is the
+    same, with one argparse scan instead of two.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         payload = args.func(args)
     except ResourceLimitExceeded as exc:
         print(_json_text({"status": "resource-exceeded", "error": str(exc)}))

@@ -146,7 +146,12 @@ def _same_size(a, b) -> None:
 
 
 def _check_size(n: int, *shapes) -> None:
-    """Raise SizeMismatchError unless every shape has size n; a lone shape is named."""
+    """Raise SizeMismatchError unless every shape has size n; a lone shape is named.
+
+    A negative n is rejected first, with `enumerate_bipartitions`' message.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if any(shape.size != n for shape in shapes):
         if len(shapes) == 1:
             raise SizeMismatchError(f"shape {shapes[0]} has size {shapes[0].size}, expected {n}")

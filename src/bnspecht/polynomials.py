@@ -738,7 +738,9 @@ class _Parser:
 
 
 def parse_polynomial(text: str, n: int) -> SparsePolynomial:
-    """Parse the canonical text form into a polynomial in n variables."""
+    """Parse the canonical text form into a polynomial in n variables (n ≥ 0)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     return _Parser(text, n).parse()
 
 

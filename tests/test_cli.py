@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from collections import OrderedDict
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -21,11 +25,12 @@ from bnspecht.cli import (
     EXIT_RESOURCE,
     _json_text,
     _limits,
+    _parse,
     build_parser,
     run,
 )
-from bnspecht.errors import ResourceLimits
-from bnspecht.partitions import parse_bipartition
+from bnspecht.errors import BnSpechtError, ResourceLimits
+from bnspecht.partitions import enumerate_bipartitions, parse_bipartition
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,6 +234,24 @@ def test_help_still_exits_zero_with_the_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: bnspecht variety")
 
 
+NEGATIVE_N = {
+    "poset": ("poset",),
+    "specht": ("specht", "--shape", "((),())"),
+    "ideal-inc": ("ideal-inc", "--a", "((),())", "--b", "((),())"),
+    "variety": ("variety", "--shape", "((),())"),
+    "gamma": ("gamma", "--poly", "1"),
+    "conjecture": ("conjecture", "--shape", "((),())"),
+    "rank-bound": ("rank-bound", "--shape", "((),())"),
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_N.values(), ids=NEGATIVE_N.keys())
+def test_a_negative_n_gets_one_message_on_every_subcommand(capsys, argv):
+    code, out = invoke(capsys, *argv, "--n", "-1")
+    assert code == EXIT_REJECTED
+    assert json.loads(out) == {"status": "rejected-input", "error": "n must be non-negative"}
+
+
 def test_non_ascii_digits_are_rejected_with_their_position(capsys):
     code, out = invoke(capsys, "order", "--a", "((\u00b2),())", "--b", "((1),())")
     assert code == EXIT_REJECTED
@@ -386,6 +409,156 @@ def test_resource_exit_code(capsys):
 
 
 # ---------------------------------------------------------------------------
+# an argv grammar over the ten subcommands: the dispatching parse against the
+# nested one, and the envelope contract
+
+POLYS = (  # polynomials of degree at most 4, by the largest variable index they use
+    ("0", "1", "-3/4"),
+    ("x1", "x1^4 - 1/2*x1"),
+    ("x1^2 - x2^2", "x1*x2*(x1 - x2)", "(x1 + x2)^4"),
+    ("x2*x3*(x1^2 - 1)", "1/2*x1*x2*x3 - x3^4"),
+)
+CORRUPT = {
+    "--n": ("-1", "x", "1.5", ""),
+    "--shape": ("((1,x),())", "((1),(1)", "((0,2),())", "()", "((1),(1))"),
+    "--relation": ("frob",),
+    "--method": ("sat",),
+    "--point": ("1/0", "", "x", "1e1", "2,,1"),
+    "--poly": ("x1 +", "x4", "x1 \u00e9", "x1^-1", ""),
+    "--case": ("5", "x"),
+    "--orders": ("", " , ", "frob"),
+}
+CORRUPT.update({"--a": CORRUPT["--shape"] + ("1",), "--b": CORRUPT["--shape"] + ("-1",)})
+CAP_FLAGS = tuple(f"--{f.name.replace('_', '-')}" for f in fields(ResourceLimits))
+CORRUPT.update(dict.fromkeys(CAP_FLAGS, ("-1", "x")))
+FLAGS = ("--all", "--dot", "--json")  # the options that take no value
+OPTIONS = {  # each subcommand's options, optional ones after "|"; `CAPPED` ones add the caps
+    "poset": "--n | --dot --json",
+    "order": "--a --b | --relation",
+    "specht": "--shape --n | --all",
+    "ideal-inc": "--a --b --n | --method",
+    "variety": "--shape --n |",
+    "orbit-type": "--point |",
+    "gamma": "--poly --n |",
+    "certify-cover": "--case --a --b |",
+    "conjecture": "--shape --n | --orders",
+    "rank-bound": "--shape --n |",
+}
+ODD_TOKENS = (
+    "--", "--sh", "--m", "--n=2", "--a=1", "--max-basis=1", "-1", "--frob", "-x", "", "poset",
+    "frob",
+)
+HELP_TOKENS = ("-h", "--help", "--he")
+
+
+def valid_values(command, n):
+    """The valid values of each option at n; every n is at most 3."""
+    shapes = tuple(str(shape) for shape in enumerate_bipartitions(n))
+    return {
+        "--n": (str(n),),
+        "--shape": shapes,
+        "--a": ("1", "2") if command == "certify-cover" else shapes,  # a = b = 3 takes 1 s
+        "--b": ("0", "1", "2") if command == "certify-cover" else shapes,
+        "--relation": ("bidom", "hecke", "induced"),
+        "--method": ("groebner", "certificate"),
+        "--point": ("2,-2,0", "1/2, -1/2", "0", "-1,3"),
+        "--poly": tuple(chain.from_iterable(POLYS[: n + 1])),
+        "--case": ("3", "4"),
+        "--orders": ("lex", "deglex, degrevlex", "lex-rev,lex,lex"),
+        **dict.fromkeys(CAP_FLAGS, ("0", "1", "2", "50", "2000")),
+    }
+
+
+def mostly(good, bad):
+    """`good` three times in four, else `bad` (`one_of` would merge repeated branches)."""
+    return st.sampled_from((good, good, good, bad)).flatmap(lambda drawn: drawn)
+
+
+def option(flag, valid):
+    """A flag alone if it takes no value, else the flag and a value, valid three times in four."""
+    if flag in FLAGS:
+        return st.just((flag,))
+    value = mostly(st.sampled_from(valid[flag]), st.sampled_from(CORRUPT[flag]))
+    return value.map(lambda value: (flag, value))
+
+
+@cache
+def command_argvs(command, n, tokens):
+    """One subcommand's argv at n: its options in any order, some dropped, plus stray strings."""
+    valid = valid_values(command, n)
+    required, optional = (flags.split() for flags in OPTIONS[command].split("|"))
+    optional += CAP_FLAGS if command in CAPPED else ()
+    nothing = st.just(())
+    own = [mostly(option(flag, valid), nothing) for flag in required]
+    own += [option(flag, valid) | nothing for flag in optional]
+    stray = st.sampled_from(sorted(CORRUPT) + list(FLAGS)).flatmap(lambda f: option(f, valid))
+    stray |= st.sampled_from(tokens).map(lambda token: (token,))
+    ordered = st.permutations(own).flatmap(lambda own: st.tuples(*own))
+    parts = st.tuples(ordered, mostly(nothing, stray.map(lambda stray: (stray,))))
+    return parts.map(lambda parts: [command, *chain.from_iterable(chain(*parts))])
+
+
+def argvs(tokens=ODD_TOKENS):
+    """argv lists of the ten subcommands at n <= 3, or of stray strings with no subcommand."""
+    drawn = st.tuples(st.sampled_from(sorted(OPTIONS)), st.integers(0, 3))
+    commands = drawn.flatmap(lambda drawn: command_argvs(*drawn, tokens))
+    return mostly(commands, st.lists(st.sampled_from(tokens), max_size=3))
+
+
+def parse_outcome(parse, argv):
+    """(Namespace, printed text), or the usage error's message, or the exit code and its text."""
+    printed = io.StringIO()
+    with redirect_stdout(printed), redirect_stderr(printed):
+        try:
+            return parse(argv), printed.getvalue()
+        except BnSpechtError as exc:
+            return "usage error", str(exc), printed.getvalue()
+        except SystemExit as exc:
+            return "exit", exc.code, printed.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs(ODD_TOKENS + HELP_TOKENS))
+@example(["variety", "--shape", "((1),())"])
+@example(["poset", "--n", "x"])
+@example(["frob"])
+@example(["ideal-inc", "--a", "((1),())", "--b", "((1),())", "--n", "1", "--method", "sat"])
+@example(["poset", "--n", "2", "--extra"])
+@example([])
+@example(["poset", "--n", "2", "--max-basis", "5"])
+@example(["--help"])
+@example(["variety", "--help"])
+@example(["order", "--", "--a", "((1),())"])
+@example(["specht", "--sh", "((1),())", "--n", "1", "--he"])
+@example(["poset", "--n", "2", "poset", "-h"])
+def test_the_dispatching_parse_equals_the_nested_parse(argv):
+    assert parse_outcome(_parse, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+STATUS = {EXIT_OK: "ok", EXIT_REJECTED: "rejected-input", EXIT_RESOURCE: "resource-exceeded"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+@example(["certify-cover", "--case", "4", "--a", "2", "--b", "2"])
+@example(["conjecture", "--shape", "((1),(1,1))", "--n", "3", "--max-basis", "1"])
+@example(["gamma", "--poly", "(x1+x2)^4", "--n", "3"])
+@example(["poset", "--n", "3", "--dot"])
+def test_every_call_prints_one_envelope_whose_status_is_its_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert err.getvalue() == ""
+    assert code in STATUS, out.getvalue()
+    if code == EXIT_OK and getattr(_parse(argv), "dot", False):
+        assert out.getvalue().startswith("digraph")
+        return
+    envelope = json.loads(out.getvalue())
+    assert list(envelope) == ["status", "payload" if code == EXIT_OK else "error"]
+    assert envelope["status"] == STATUS[code]
+
+
+# ---------------------------------------------------------------------------
 # the envelope writer against json.dumps(indent=2)
 
 
@@ -504,8 +677,10 @@ def module_env():
         ("variety", "--shape", "((1,1),(2))", "--n", "4"),
         ("gamma", "--poly", "x1 \u00e9 x2", "--n", "2"),
         ("variety", "--shape", "((1),())"),
+        ("poset", "--n", "2", "--extra"),
+        (),
     ],
-    ids=["poset", "variety", "rejected", "usage"],
+    ids=["poset", "variety", "rejected", "usage", "unrecognized", "empty"],
 )
 def test_the_module_prints_what_run_prints(capsys, argv):
     start = time.perf_counter()
