@@ -175,7 +175,7 @@ def _divisor_terms(divisor) -> tuple:
     return (lead, coeff), *tail
 
 
-def _normal_form(terms: dict, divisors, codec, limits: ResourceLimits | None = None) -> dict:
+def _normal_form(terms: dict, divisors, codec, limits: ResourceLimits) -> dict:
     """Remainder of the packed polynomial terms on division by the packed divisors.
 
     The largest live term is popped from a heap of packed ints; a term
@@ -186,11 +186,11 @@ def _normal_form(terms: dict, divisors, codec, limits: ResourceLimits | None = N
     in `work` would be popped and reduced for nothing.
 
     Each popped monomial is guard-checked before it is used (`_FieldOverflow`
-    if a field outgrew its width). With limits, `work` is checked against
+    if a field outgrew its width). `work` is checked against the limits'
     max_terms after every reduction step and the remainder once at the end.
     """
     guard, sign = codec.guard, codec.sign
-    cap = inf if limits is None else limits.max_terms
+    cap = limits.max_terms
     work = dict(terms)
     heap = list(work)
     heapify(heap)

@@ -198,27 +198,25 @@ def cut(p: Partition, t: int) -> Bipartition:
 def _brylawski_moves(parts: tuple[int, ...]):
     """Yield (i, j, below) for each partition `below` that `parts` covers in dominance.
 
-    `below` moves one box of `parts` from row i down to row j (rows 0-based),
-    with j = i+1 or equal intermediate rows (Brylawski's covers). Distinct
-    moves give distinct partitions.
+    `below` moves one box of `parts` from row i down to row j (rows 0-based,
+    row len(parts) reading 0). By Brylawski's rule j is the first row past the
+    rows equal to parts[i] - 1, and the move is a cover iff row j is at least
+    2 shorter than row i, and exactly 2 shorter when j > i+1. A move from row
+    i keeps the rows above i and lowers row i, so rows in order give lex order.
     """
     m = len(parts)
     rows = [*parts, 0]
-    for i in range(m):
-        for j in range(i + 1, m + 1):
-            below = rows[: max(m, j + 1)]
-            below[i] -= 1
-            below[j] += 1
-            if any(below[r] < below[r + 1] for r in range(len(below) - 1)):
-                continue
-            # long falls must land exactly two below the source, through equal rows
-            if j == i + 1 or below[i] == below[j]:
-                yield i, j, tuple(below)
+    for i, top in enumerate(parts):
+        j = i + 1
+        while j < m and rows[j] == top - 1:
+            j += 1
+        if rows[j] <= top - 2 and (j == i + 1 or rows[j] == top - 2):
+            yield i, j, (*parts[:i], top - 1, *parts[i + 1 : j], rows[j] + 1, *parts[j + 1 :])
 
 
 def partition_coverings_below(p: Partition) -> list[Partition]:
     """Partitions covered by p in the dominance order, in lex order of their parts."""
-    return [Partition(q) for q in sorted(below for _, _, below in _brylawski_moves(p.parts))]
+    return [Partition(below) for _, _, below in _brylawski_moves(p.parts)]
 
 
 def is_cm_shape(p: Partition) -> bool:
@@ -295,11 +293,11 @@ def bipartition_coverings_below(a: Bipartition) -> list[Bipartition]:
         if L[i] == L[j + 1]
     ]
     for i in range(len(lam)):
-        k = max(r for r in range(i, len(lam)) if lam[r] == lam[i])
+        k = i + lam[i:].count(lam[i]) - 1
         if (i == 0 or M[i - 1] > M[i]) and M[i] == M[k]:
             found.append(bp(_add_on_rows(L, i, k, -1), _add_on_rows(M, i, k, 1)))
     for i in range(len(mu)):
-        k = max(r for r in range(i, len(mu)) if mu[r] == mu[i])
+        k = i + mu[i:].count(mu[i]) - 1
         if L[i] > L[i + 1] == L[k + 1]:
             found.append(bp(_add_on_rows(L, i + 1, k + 1, 1), _add_on_rows(M, i, k, -1)))
     return sorted(found, key=Bipartition.sort_key)
@@ -362,10 +360,11 @@ class HasseDiagram:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The (coverer, covered) index pairs, sorted."""
+        """The (coverer, covered) index pairs, sorted as built: each vertex's covers,
+        like the vertices, come in `Bipartition.sort_key` order."""
         index = self._positions
         covers = bipartition_coverings_below
-        return tuple(sorted((i, index[c]) for i, v in enumerate(self.vertices) for c in covers(v)))
+        return tuple((i, index[c]) for i, v in enumerate(self.vertices) for c in covers(v))
 
     @cached_property
     def _below(self) -> tuple[tuple[int, ...], ...]:

@@ -245,22 +245,17 @@ def enumerate_standard_tableaux(p: Partition, entries=None) -> list[Tableau]:
     if len(entries) != p.size:
         raise ValueError("entry count must match the shape size")
     results = []
-    rows = [list(r) for r in [[None] * part for part in p.parts]]
+    rows = [[] for _ in p.parts]
 
     def place(k: int):
         if k == len(entries):
             results.append(Tableau(tuple(tuple(r) for r in rows)))
             return
-        value = entries[k]
         for i, row in enumerate(rows):
-            j = next((c for c, v in enumerate(row) if v is None), None)
-            if j is None:
-                continue
-            if i > 0 and (rows[i - 1][j] is None):
-                continue
-            row[j] = value
-            place(k + 1)
-            row[j] = None
+            if len(row) < p.parts[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(entries[k])
+                place(k + 1)
+                row.pop()
 
     place(0)
     return results

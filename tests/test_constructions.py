@@ -948,6 +948,31 @@ def test_partition_coverings_match_the_at_reference():
             assert partition_coverings_below(p) == at_coverings_below(p), p
 
 
+@st.composite
+def partitions_of(draw, n):
+    """A partition of n, each part drawn at most the one before it."""
+    parts = []
+    while n:
+        parts.append(draw(st.integers(1, min(n, parts[-1] if parts else n))))
+        n -= parts[-1]
+    return Partition(tuple(parts))
+
+
+@st.composite
+def bipartitions_up_to(draw, size):
+    """A bipartition of size at most `size`."""
+    n = draw(st.integers(0, size))
+    a = draw(st.integers(0, n))
+    return Bipartition(draw(partitions_of(a)), draw(partitions_of(n - a)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 30).flatmap(partitions_of), bipartitions_up_to(20))
+def test_coverings_beyond_n12_match_the_at_references(p, a):
+    assert partition_coverings_below(p) == at_coverings_below(p)
+    assert bipartition_coverings_below(a) == at_bipartition_coverings_below(a)
+
+
 # ---------------------------------------------------------------------------
 # integer coefficients against the Fraction-only route
 

@@ -86,6 +86,40 @@ def test_source_hygiene_finds_a_stale_helper_and_an_unused_import():
     ]
 
 
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Each parameter of a function or lambda, other than self and cls, that its body never loads."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            function = getattr(node, "name", "lambda")
+            for param in params:
+                if param and param.arg not in ("self", "cls") and param.arg not in loads:
+                    found.append(f"{module}:{node.lineno} {function} never reads {param.arg}")
+    return found
+
+
+def test_sources_read_every_parameter():
+    assert unread_parameters({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_parameter_scan_finds_an_unread_parameter():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    line = sources["partitions.py"].count("\n") + 3
+    sources["partitions.py"] += "\n\ndef _f(a, b):\n    return a\n"
+    assert unread_parameters(sources) == [f"partitions.py:{line} _f never reads b"]
+
+
 def foreign_private_reads(sources: dict[str, str]) -> list[str]:
     """Each `obj._name` load in a module that neither defines nor assigns `_name`.
 

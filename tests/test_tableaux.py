@@ -1,5 +1,6 @@
 """Tests for bitableaux, the glueing bijection and Specht polynomials."""
 
+import hashlib
 import itertools
 from math import comb, factorial
 
@@ -157,6 +158,17 @@ def test_standard_tableaux_are_increasing():
             assert all(a < b for a, b in zip(row, row[1:]))
         for col in t.columns():
             assert all(a < b for a, b in zip(col, col[1:]))
+
+
+def test_standard_tableaux_keep_their_recorded_order():
+    """Every standard tableau of every partition of n <= 7, in enumeration order: 352 lines."""
+    from bnspecht.partitions import enumerate_partitions
+
+    lines = [
+        str(t) for n in range(8) for p in enumerate_partitions(n) for t in enumerate_standard_tableaux(p)
+    ]
+    assert len(lines) == 352
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "641bb2c165ddc5eb"
 
 
 def test_standard_bitableau_counts():

@@ -14,6 +14,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, ge, sub
 
 from bnspecht import groebner
+from bnspecht.errors import DEFAULT_LIMITS
 from bnspecht.groebner import GroebnerBasis
 from bnspecht.polynomials import (
     SparsePolynomial,
@@ -197,7 +198,7 @@ def packed_normal_forms(polys, basis, order: str):
     codec = _codec([*polys, *basis], order)
     divisors = groebner._pack_divisors(basis, codec)
     for p in polys:
-        remainder = groebner._normal_form(codec.pack_terms(p.terms), divisors, codec)
+        remainder = groebner._normal_form(codec.pack_terms(p.terms), divisors, codec, DEFAULT_LIMITS)
         yield SparsePolynomial(p.n, codec.unpack_terms(remainder.items()))
 
 
