@@ -28,7 +28,7 @@ class NoConclusionError(BnSpechtError, ValueError):
 
 
 class ResourceLimitExceeded(BnSpechtError, RuntimeError):
-    """A configured cap (basis size, term count, coset count) was hit."""
+    """A configured cap (basis size, term count, coset count, enumeration size) was hit."""
 
 
 class ParseError(BnSpechtError, ValueError):
@@ -50,6 +50,7 @@ class ResourceLimits:
     max_basis: int = 2000
     max_terms: int = 200000
     max_cosets: int = 10000
+    max_enumeration: int = 100000
 
     def __post_init__(self):
         for f in fields(self):
@@ -67,6 +68,12 @@ class ResourceLimits:
     def check_cosets(self, count: int):
         if count > self.max_cosets:
             raise ResourceLimitExceeded(f"coset count {count} exceeds cap {self.max_cosets}")
+
+    def check_enumeration(self, count: int):
+        if count > self.max_enumeration:
+            raise ResourceLimitExceeded(
+                f"enumeration size {count} exceeds cap {self.max_enumeration}"
+            )
 
 
 DEFAULT_LIMITS = ResourceLimits()

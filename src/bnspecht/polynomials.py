@@ -15,6 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product, repeat, starmap
 from operator import add, itemgetter, mul
 
 from .errors import AmbientMismatchError, ParseError
@@ -24,11 +25,18 @@ Coefficient = int | Fraction
 
 
 def _normalize(value) -> Coefficient:
-    """value exactly: an int when integral, else a Fraction; coefficients and points alike."""
+    """value exactly: an int when integral, else a Fraction; coefficients and points alike.
+
+    A float is taken only when its binary value is the decimal it prints as
+    (0.5, 2.0). Any other float (0.1, 0.3 - 0.2) is rejected, since it could
+    mean either number.
+    """
     if type(value) is int:
         return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+    exact = Fraction(value)
+    if isinstance(value, float) and exact != Fraction(float.__repr__(value)):
+        raise ValueError(f"float {value!r} is not exactly the decimal it prints as")
+    return exact.numerator if exact.denominator == 1 else exact
 
 
 def _exact_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -73,7 +81,7 @@ def _monomial_text(exps: Exponents) -> str:
     """x1^2*x3 for (2, 0, 1), and 1 when every exponent is zero."""
     if not any(exps):
         return "1"
-    return "*".join(f"x{i + 1}^{e}" if e != 1 else f"x{i + 1}" for i, e in enumerate(exps) if e)
+    return "*".join([f"x{i + 1}^{e}" if e != 1 else f"x{i + 1}" for i, e in enumerate(exps) if e])
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,21 @@ class SparsePolynomial:
                 clean[exps] = coeff
         self.terms = clean
         self._hash = None
+
+    @staticmethod
+    def _of_clean(n: int, terms: dict[Exponents, Coefficient]) -> "SparsePolynomial":
+        """The polynomial owning terms, which is neither copied nor checked.
+
+        Only for terms clean by construction: distinct exponent tuples of n
+        entries each, with nonzero coefficients that are ints or non-integral
+        Fractions. `_scatter` (distinct +-1 terms gathered to n slots) and
+        `act` (a signed relabelling of clean terms) are its only callers;
+        every other construction can cancel terms or make an integral
+        Fraction and goes through `__init__`.
+        """
+        p = object.__new__(SparsePolynomial)
+        p.n, p.terms, p._hash = n, terms, None
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -402,35 +425,41 @@ def _permutation_sign(domain, image) -> int:
 def _permutation_signs(h: int) -> tuple[int, ...]:
     """Signs of the permutations of range(h), in itertools.permutations order."""
     base = tuple(range(h))
-    return tuple(_permutation_sign(base, p) for p in itertools.permutations(base))
+    return tuple(_permutation_sign(base, p) for p in permutations(base))
 
 
-def _column_product(columns, step: int, head=()) -> list[tuple[Exponents, int]]:
-    """prod over columns of the column Vandermondes, in slot order: (exponents, sign) pairs.
+def _column_product(columns, step: int, head=()) -> tuple[list[Exponents], list[int]]:
+    """prod over columns of the column Vandermondes, in slot order: lists (exponents, signs).
 
     Every term starts with the fixed exponents head, one per slot, and each
     column then adds h slots. A column is the tuple (o_1, ..., o_h) of its
     slots' odd offsets and stands for the Vandermonde
     sum_pi sgn(pi) prod_b y_b^(step*(h-1-pi(b)) + o_b) in its slots y_1..y_h:
-    itertools.permutations of its powers, zipped with `_permutation_signs(h)`.
-    The prod h! terms are distinct, with int signs +-1.
+    the permutations of its powers, zipped with `_permutation_signs(h)`. A
+    column of height < 2 appends its offsets to every term. The terms of a
+    column product are the itertools.product of the terms so far with the
+    column's table, so the exponents and signs are built by map and starmap,
+    with no Python loop per term. The prod h! terms are distinct, with int
+    signs +-1.
     """
-    terms = [(tuple(head), 1)]
+    exps, signs = [tuple(head)], [1]
     for offsets in columns:
         h = len(offsets)
         if h < 2:
-            table = [(offsets, 1)]
-        elif offsets.count(offsets[0]) == h:
-            powers = [step * (h - 1 - a) + offsets[0] for a in range(h)]
-            table = list(zip(itertools.permutations(powers), _permutation_signs(h)))
+            exps = list(map(add, exps, repeat(offsets)))
+            continue
+        if offsets.count(offsets[0]) == h:
+            table = permutations([step * (h - 1 - a) + offsets[0] for a in range(h)])
         else:  # a partly odd column
             powers = [step * (h - 1 - a) for a in range(h)]
-            table = [
-                (tuple(map(add, p, offsets)), s)
-                for p, s in zip(itertools.permutations(powers), _permutation_signs(h))
-            ]
-        terms = [(e + f, s * t) for e, s in terms for f, t in table]
-    return terms
+            table = [tuple(map(add, p, offsets)) for p in permutations(powers)]
+        if len(exps) == 1:  # the first column of height >= 2: every sign so far is +1
+            exps = list(map(exps[0].__add__, table))
+            signs = list(_permutation_signs(h))
+        else:
+            exps = list(starmap(add, product(exps, table)))
+            signs = list(starmap(mul, product(signs, _permutation_signs(h))))
+    return exps, signs
 
 
 def _gather(index):
@@ -441,17 +470,19 @@ def _gather(index):
     return lambda e: tuple([e[k] for k in index])
 
 
-def _scatter(n: int, terms, slots) -> SparsePolynomial:
-    """The polynomial sum sign * x^e over slot-order terms (e, sign) of `_column_product`.
+def _scatter(n: int, exps, signs, slots) -> SparsePolynomial:
+    """The polynomial sum sign * x^e over the slot-order terms of `_column_product`.
 
     slots[k] is the 1-based variable that slot k fills. A variable that no
     slot names reads the slot named 0, which must hold exponent 0 in every
-    term. One gather per term puts the slots in variable order.
+    term. One gather per term, mapped over exps, puts the slots in variable
+    order; every slot but the zero one is read, so distinct terms stay
+    distinct and the dict is clean by construction (see `_of_clean`).
     """
     position = {v: k for k, v in enumerate(slots)}
     zero = position.get(0)
     gather = _gather([position.get(i, zero) for i in range(1, n + 1)])
-    return SparsePolynomial(n, {gather(e): s for e, s in terms})
+    return SparsePolynomial._of_clean(n, dict(zip(map(gather, exps), signs)))
 
 
 def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
@@ -483,7 +514,7 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
         slots.append(0)
         head.append(0)
     offsets = [tuple([extra.get(i, 0) for i in col]) for col in columns]
-    return _scatter(n, _column_product(offsets, step, head), slots + flat)
+    return _scatter(n, *_column_product(offsets, step, head), slots + flat)
 
 
 def _check_index(n: int, i: int):
@@ -557,7 +588,11 @@ class SignedPermutation:
 
 
 def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
-    """Ring homomorphism sending x_i to signs[perm(i)] * x_{perm(i)}."""
+    """Ring homomorphism sending x_i to signs[perm(i)] * x_{perm(i)}.
+
+    A relabelling of p's clean terms with a sign on each, so the result is
+    clean by construction (see `SparsePolynomial._of_clean`).
+    """
     if g.n != p.n:
         raise AmbientMismatchError("group element and polynomial rank differ")
     terms: dict[Exponents, Coefficient] = {}
@@ -571,7 +606,7 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
                 if g.signs[j] == -1 and e % 2:
                     sign = -sign
         terms[tuple(new)] = sign * coeff  # a relabelling: distinct terms stay distinct
-    return SparsePolynomial(p.n, terms)
+    return SparsePolynomial._of_clean(p.n, terms)
 
 
 def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, prod
@@ -179,7 +180,13 @@ def specht_generators(
     tableau each column belongs to, and distinct assignments give distinct
     polynomials. Each assignment is enumerated once: a combination of the
     remaining entries per column, with equal-height columns of one tableau in
-    increasing order. Output follows the sorted (first, second) column sets.
+    increasing order. Disjoint columns compare by their first entries, so a
+    column that follows an equal-height one draws only from the remaining
+    entries above that column's first, and no combination is discarded. There
+    are n! / (prod h! * prod r!) assignments, h over the column heights and r
+    over the lengths of the runs of equal-height columns in each tableau; that
+    count is checked against `limits.max_enumeration` before any is made.
+    Output follows the sorted (first, second) column sets.
     Every generator is the same column product with other variables in its
     slots, so `_column_product` builds it once in slot order (the columns in
     height order, the second tableau's odd), and each assignment scatters it
@@ -191,25 +198,28 @@ def specht_generators(
     left_heights, right_heights = conjugate(shape.left).parts, conjugate(shape.right).parts
     heights = left_heights + right_heights
     split = len(left_heights)
-    limits.check_terms(prod(factorial(h) for h in heights))
+    terms = prod(map(factorial, heights))
+    limits.check_terms(terms)
+    runs = [len(list(r)) for hs in (left_heights, right_heights) for _, r in itertools.groupby(hs)]
+    limits.check_enumeration(factorial(n) // (terms * prod(map(factorial, runs))))
     keys = []
 
     def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
         if k == len(heights):
             keys.append(((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))), chosen))
             return
-        after_equal = k not in (0, split) and heights[k - 1] == heights[k]
-        for col in itertools.combinations(remaining, heights[k]):
-            if after_equal and col < chosen[-1]:
-                continue
+        pool = remaining
+        if k not in (0, split) and heights[k - 1] == heights[k]:
+            pool = remaining[bisect(remaining, chosen[-1][0]) :]
+        for col in itertools.combinations(pool, heights[k]):
             rest = tuple(e for e in remaining if e not in col)
             assign(k + 1, rest, chosen + [col])
 
     assign(0, tuple(range(1, n + 1)), [])
     keys.sort()
     odd = [(0,) * h for h in left_heights] + [(1,) * h for h in right_heights]
-    product = _column_product(odd, 2)
-    return [_scatter(n, product, [e for col in chosen for e in col]) for _, chosen in keys]
+    exps, signs = _column_product(odd, 2)
+    return [_scatter(n, exps, signs, [e for col in chosen for e in col]) for _, chosen in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -372,9 +372,10 @@ def test_only_the_subcommands_that_read_the_caps_accept_them():
 
 @pytest.mark.parametrize("argv", CAPPED.values(), ids=CAPPED.keys())
 def test_every_capped_handler_reads_each_cap(argv):
-    caps = ("--max-basis", "7", "--max-terms", "8", "--max-cosets", "9")
+    caps = ("--max-basis", "7", "--max-terms", "8", "--max-cosets", "9", "--max-enumeration", "10")
     args = build_parser().parse_args([*argv, *caps])
-    assert _limits(args) == ResourceLimits(max_basis=7, max_terms=8, max_cosets=9)
+    expected = ResourceLimits(max_basis=7, max_terms=8, max_cosets=9, max_enumeration=10)
+    assert _limits(args) == expected
 
 
 @pytest.mark.parametrize(
@@ -389,6 +390,17 @@ def test_a_negative_cap_is_rejected_input(capsys, argv):
     assert code == EXIT_REJECTED
     doc = json.loads(out)
     assert doc["status"] == "rejected-input" and "must be non-negative" in doc["error"]
+
+
+def test_a_large_generator_enumeration_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out = invoke(capsys, "specht", "--all", "--shape", "((8,8),())", "--n", "16")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {
+        "status": "resource-exceeded",
+        "error": "enumeration size 2027025 exceeds cap 100000",
+    }
 
 
 def test_resource_exit_code(capsys):

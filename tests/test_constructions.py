@@ -1003,6 +1003,7 @@ def fraction_only():
     Both coefficient helpers are replaced in every bnspecht module that binds
     them, and the constructor wraps every coefficient, the +-1 ints of the
     column expansion included, as the route before integer coefficients did.
+    `_of_clean`, which skips the constructor, goes through it here.
     A context manager rather than a pytest fixture, so one test (or one
     hypothesis example) can build the same thing in both modes.
     """
@@ -1022,6 +1023,7 @@ def fraction_only():
         assert ("bnspecht.polynomials", "_normalize") in patched
         assert ("bnspecht.groebner", "_exact_quotient") in patched
         mp.setattr(SparsePolynomial, "__init__", fraction_only_init)
+        mp.setattr(SparsePolynomial, "_of_clean", SparsePolynomial)
         yield
 
 

@@ -1,7 +1,9 @@
 """Tests for the exact polynomial engine and the signed-permutation action."""
 
 import itertools
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from operator import add, ge
 
@@ -26,6 +28,7 @@ from bnspecht.polynomials import (
     vandermonde,
     vandermonde_squares,
 )
+from bnspecht.varieties import as_point, bn_orbit_type
 from tuple_kernel import leading, monic, reference_order_key
 
 N = 3
@@ -475,10 +478,10 @@ def product_expansion(n, columns, step, odd):
 
 
 @st.composite
-def expansions(draw):
+def expansions(draw, max_n=6):
     """(n, columns, step, odd): disjoint columns, empty and single-entry ones included,
     over a shuffled subset of x1..xn, and odd indices with repeats anywhere in 1..n."""
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, max_n))
     entries = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
     columns = []
     while entries:
@@ -505,3 +508,61 @@ def test_column_expansion_is_the_product_of_its_binomials(case):
     expanded = _column_expansion(n, columns, step, odd)
     assert expanded == product_expansion(n, columns, step, odd)
     assert all(type(c) is int for c in expanded.terms.values())
+
+
+def assert_clean(p):
+    """p's terms are what the validating constructor keeps of them, in the same key order."""
+    again = SparsePolynomial(p.n, p.terms)
+    assert list(again.terms.items()) == list(p.terms.items())
+    for c in p.terms.values():
+        assert type(c) is int or type(c) is Fraction and c.denominator > 1, c
+
+
+@given(expansions(max_n=7))
+def test_column_expansions_are_clean_by_construction(case):
+    assert_clean(_column_expansion(*case))
+
+
+@st.composite
+def signed_actions(draw):
+    """(g, p): a signed permutation of rank n <= 7 and a polynomial with int and a/b terms."""
+    n = draw(st.integers(0, 7))
+    coefficients = st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficients, max_size=8))
+    perm = tuple(draw(st.permutations(range(1, n + 1))))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+    return SignedPermutation(perm, signs), SparsePolynomial(n, terms)
+
+
+@given(signed_actions())
+def test_actions_are_clean_by_construction(case):
+    g, p = case
+    moved = act(g, p)
+    assert_clean(moved)
+    assert act(g.inverse(), moved) == p
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3 - 0.2, 1 / 3, 1e23, 2.0**60])
+def test_a_float_other_than_its_printed_decimal_is_rejected(value):
+    """A float is taken only when it is exactly the decimal it prints as, as 0.5 is."""
+    x1 = parse_polynomial("x1", 1)
+    calls = [
+        lambda: SparsePolynomial(1, {(1,): value}),
+        lambda: x1.scale(value),
+        lambda: x1 * value,
+        lambda: x1 + value,
+        lambda: x1.evaluate((value,)),
+        lambda: as_point((1, value)),
+        lambda: bn_orbit_type((value, value)),
+        lambda: act_point(SignedPermutation.identity(1), (value,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"float {value!r} ")):
+            call()
+    taken = as_point((Decimal("0.1"), "1/3", 0.5, 2.0))
+    assert taken == (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 2)
+    p = SparsePolynomial(1, {(1,): Decimal("2.50"), (0,): "6/3"})
+    assert p.terms == {(1,): Fraction(5, 2), (0,): 2}
+    assert bn_orbit_type((Fraction(1, 10), Decimal("0.1"))) == bn_orbit_type((1, 1))

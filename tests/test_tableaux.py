@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnspecht.errors import ResourceLimitExceeded, ResourceLimits
 from bnspecht.partitions import Partition, bp, enumerate_bipartitions, glue
 from bnspecht.polynomials import SparsePolynomial, parse_polynomial
 from bnspecht.tableaux import (
@@ -135,6 +136,30 @@ def test_specht_generators_cover_the_full_orbit_up_to_sign():
             for btab in all_bitableaux(shape, 3)
         }
         assert gens == orbit, str(shape)
+
+
+def test_specht_constructions_keep_their_recorded_text():
+    """Every Specht generator, then the reference polynomial, of every shape with n <= 7."""
+    lines = []
+    for n in range(8):
+        for shape in enumerate_bipartitions(n):
+            lines.extend(map(str, specht_generators(shape, n)))
+            lines.append(str(specht_polynomial_bn(reference_bitableau(shape, n))))
+    assert len(lines) == 17472
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "243e97d9180a9717"
+
+
+def test_the_generator_count_is_capped_before_enumerating():
+    """The closed-form count n! / (prod h! * prod r!) is the cap's figure, exactly."""
+    for n in range(7):
+        for shape in enumerate_bipartitions(n):
+            count = len(specht_generators(shape, n))
+            assert len(specht_generators(shape, n, ResourceLimits(max_enumeration=count))) == count
+            with pytest.raises(ResourceLimitExceeded, match=f"enumeration size {count} exceeds"):
+                specht_generators(shape, n, ResourceLimits(max_enumeration=count - 1))
+    # 16! / (2!^8 * 8!) generators: refused at once under the default cap
+    with pytest.raises(ResourceLimitExceeded, match="enumeration size 2027025 exceeds cap 100000"):
+        specht_generators(bp((8, 8), ()), 16)
 
 
 def test_hook_length_counts():
