@@ -269,16 +269,14 @@ def _s_pair_remainders(
     Weispfenning, Groebner Bases, 1993, sec. 10.2): it reduces to zero every
     member of the ideal of degree at most max_sugar.
 
-    Pairs whose S-polynomial is known to reduce to zero are pruned once, when
-    an element h is admitted, by the update of Gebauer and Moeller (J. Symbolic
-    Comput. 6, 1988; Becker and Weispfenning, Groebner Bases, 1993, p. 230).
-    It works on each lead's variable fields F, the low bits of its exponent
-    form: lead(h) divides an lcm iff the guard test passes, `codec.lcm`
-    takes the per-field max of two F, and a pair is coprime iff that is
-    their sum.
+    Pairs whose S-polynomial is known to reduce to zero are pruned by the
+    update of Gebauer and Moeller (J. Symbolic Comput. 6, 1988; Becker and
+    Weispfenning, Groebner Bases, 1993, p. 230). It works on each lead's
+    variable fields F, the low bits of its exponent form: lead(h) divides an
+    lcm iff the guard test passes, `codec.lcm` takes the per-field max of two
+    F, and a pair is coprime iff that is their sum. When an element h is
+    admitted:
 
-    - B_k: a queued pair (i, j) dies if lead(h) divides its lcm and that lcm
-      differs from both lcm(i, h) and lcm(j, h).
     - M and F: h pairs with every active element i. Of these pairs only those
       whose lcm is minimal under divisibility are kept, one per lcm. A pair
       with coprime leads reduces to zero (Buchberger's first criterion): it
@@ -286,14 +284,18 @@ def _s_pair_remainders(
     - Active set: the elements whose lead lead(h) divides form no further
       pairs. They stay in basis as reducers.
 
-    The pop loop then only skips the pairs that died.
+    B_k is decided when a pair (i, j) is popped: it dies if, for some element
+    h admitted after it, lead(h) divides its lcm and that lcm differs from
+    both lcm(i, h) and lcm(j, h). Those elements are fields[j + 1:], and each
+    test depends only on the fixed leads, so a pair dies at its pop exactly
+    when it would have died at some admission before it: the same pairs are
+    reduced in the same order, and a pair never popped is never tested.
     """
     guard, sign, low, lcm_of = codec.guard, codec.sign, codec.low, codec.lcm
     fields: list[int] = []  # each lead's variable fields, F
     excess: list[int] = []  # each element's sugar less the degree of its lead
     active: list[int] = []  # the elements that still form pairs
-    live: dict[tuple[int, int], int] = {}  # queued pairs not pruned, with the F of their lcm
-    queue: list = []
+    queue: list = []  # (sugar, order of the lcm, (i, j), F of the lcm); (i, j) is unique
     degree = codec.degree
 
     def admit_new_elements():
@@ -301,13 +303,6 @@ def _s_pair_remainders(
             lead_x, lead, _, _ = basis[h]
             fh = lead_x & low
             excess.append(sugars[h] - degree(lead))
-            for (i, j), lcm in list(live.items()):
-                if (
-                    not (lcm - fh) & guard
-                    and lcm != lcm_of(fields[i], fh)
-                    and lcm != lcm_of(fields[j], fh)
-                ):
-                    del live[i, j]
             new = []
             for i in active:
                 lcm = lcm_of(fields[i], fh)
@@ -321,21 +316,24 @@ def _s_pair_remainders(
                     continue
                 minimal.append(lcm)
                 if overlapping:
-                    live[i, h] = lcm
                     exps = codec.unpack(sign * lcm)
                     pair_sugar = sum(exps) + max(excess[i], excess[h])
-                    heappush(queue, (pair_sugar, -codec.pack(exps), (i, h)))
+                    heappush(queue, (pair_sugar, -codec.pack(exps), (i, h), lcm))
             active[:] = [i for i in active if (fields[i] - fh) & guard]
             active.append(h)
             fields.append(fh)
 
     admit_new_elements()
     while queue:
-        pair_sugar, ascending_lcm, (i, j) = heappop(queue)
+        pair_sugar, ascending_lcm, (i, j), lcm = heappop(queue)
         if pair_sugar > max_sugar:
             return
-        if live.pop((i, j), None) is None:
-            continue  # pruned after it was queued
+        fi, fj = fields[i], fields[j]
+        if any(
+            not (lcm - fh) & guard and lcm != lcm_of(fi, fh) and lcm != lcm_of(fj, fh)
+            for fh in fields[j + 1 :]
+        ):
+            continue  # B_k
         s = _normal_form(_s_polynomial(basis[i], basis[j], -ascending_lcm), basis, codec, limits)
         if s:
             basis.append(_monic_divisor(s, sign))

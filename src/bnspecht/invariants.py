@@ -184,6 +184,8 @@ def verify_symmetrization(
     coefficient of m.
     """
     n = P.n
+    if m.n != n:
+        raise AmbientMismatchError(f"monomial in {m.n} variables, polynomial in {n}")
     profile = monomial_profile(m)
     bases = profile.i1 + profile.i2
     sizes = profile.k + profile.r

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product, repeat, starmap
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 
 from .errors import AmbientMismatchError, ParseError
 
@@ -228,6 +228,10 @@ class SparsePolynomial:
     @staticmethod
     def variable(n: int, i: int, power: int = 1) -> "SparsePolynomial":
         _check_index(n, i)
+        try:
+            power = index(power)
+        except TypeError:
+            raise ValueError(f"non-integer exponent {power}") from None
         if power < 0:
             raise ValueError(f"negative exponent {power}")
         exps = tuple(power if j == i - 1 else 0 for j in range(n))

@@ -21,7 +21,10 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows if r))
+        rows = tuple(map(tuple, self.rows))
+        while rows and not rows[-1]:  # an inner empty row fails the length check below
+            rows = rows[:-1]
+        object.__setattr__(self, "rows", rows)
         entries = [e for row in self.rows for e in row]
         if len(set(entries)) != len(entries):
             raise ValueError(f"repeated entry in tableau {self.rows}")
@@ -46,7 +49,10 @@ class Tableau:
 
     @staticmethod
     def from_columns(cols) -> "Tableau":
-        depth = max((len(c) for c in cols), default=0)
+        heights = [len(c) for c in cols]
+        if any(a < b for a, b in itertools.pairwise(heights)):
+            raise ValueError(f"column heights not non-increasing: {heights}")
+        depth = max(heights, default=0)
         rows = tuple(tuple(c[i] for c in cols if len(c) > i) for i in range(depth))
         return Tableau(rows)
 

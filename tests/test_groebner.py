@@ -25,7 +25,13 @@ from bnspecht.groebner import (
     specht_ideal_contains,
     universal_gb_check,
 )
-from bnspecht.partitions import bidominates, bp, enumerate_bipartitions, parse_bipartition
+from bnspecht.partitions import (
+    bidominates,
+    bp,
+    enumerate_bipartitions,
+    hasse_diagram,
+    parse_bipartition,
+)
 from bnspecht.polynomials import ORDER_TAGS, SparsePolynomial, parse_polynomial
 from bnspecht.tableaux import (
     _specht_degree,
@@ -429,6 +435,39 @@ def test_universal_gb_check_n4_finding_survives_pruning():
         if shape != bp((1, 1, 1), (1,)):
             rep = universal_gb_check(shape, 4, ["degrevlex"])
             assert rep.results == (("degrevlex", True),), str(shape)
+
+
+def test_pair_work_stays_pinned(monkeypatch):
+    """S-polynomials formed and normal forms taken over one fixed recipe.
+
+    The counts move only if the pair queue or its pruning changes: a loop
+    without the B_k criterion forms 2,214 and takes 4,278.
+    """
+    calls = {"_s_polynomial": 0, "_normal_form": 0}
+
+    def counted(name):
+        original = getattr(groebner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groebner, name, wrapper)
+
+    counted("_s_polynomial")
+    counted("_normal_form")
+    for n in (3, 4):
+        for shape in enumerate_bipartitions(n):
+            for order in ("lex", "deglex", "degrevlex"):
+                specht_ideal_basis(shape, n, order)
+            universal_gb_check(shape, n, ["degrevlex"])
+    for shape in enumerate_bipartitions(3):
+        radical_report(shape, 3)
+    diagram = hasse_diagram(5)
+    for i, j in diagram.edges:
+        upper, lower = diagram.vertices[i], diagram.vertices[j]
+        assert specht_ideal_contains(upper, lower, 5, "degrevlex")
+    assert calls == {"_s_polynomial": 2006, "_normal_form": 4070}
 
 
 N5_FINDINGS = [

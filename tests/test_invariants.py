@@ -183,6 +183,14 @@ def test_symmetrization_keeps_only_the_sign_averaged_part():
     assert verify_symmetrization(mixed, Monomial((4, 0, 0, 0, 0)), [(2, 3)])
 
 
+def test_symmetrization_rejects_a_monomial_from_another_ring():
+    P = parse_polynomial("x1^2", 3)
+    for m in (Monomial((0, 0, 0, 2)), Monomial((2,))):
+        with pytest.raises(AmbientMismatchError, match=f"monomial in {m.n} variables"):
+            verify_symmetrization(P, m, [(2,)])
+    assert verify_symmetrization(P, Monomial((2, 0, 0)), [(2,)])
+
+
 def test_symmetrization_validation():
     P = parse_polynomial("x1^2*x2*x3", 4)
     m = Monomial((2, 1, 1, 0))

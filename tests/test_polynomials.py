@@ -229,6 +229,12 @@ def test_variable_rejects_a_negative_power():
     assert str(SparsePolynomial.variable(2, 2, 3)) == "x2^3"
 
 
+def test_variable_rejects_a_non_integer_power():
+    for power in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"non-integer exponent {power}"):
+            SparsePolynomial.variable(2, 1, power)
+
+
 def test_leading_data_and_monic():
     p = parse_polynomial("2*x2^3 + x1", 3)
     assert p.leading_exponents("lex") == (1, 0, 0)

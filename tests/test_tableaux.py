@@ -44,6 +44,32 @@ def test_tableau_validation():
     assert Tableau.from_columns(t.columns()) == t
 
 
+def test_only_trailing_empty_rows_are_dropped():
+    assert Tableau(((1, 2), (3,), (), ())).rows == ((1, 2), (3,))
+    assert Tableau(((),)).rows == ()
+    for rows in (((1,), (), (2,)), ((), (1, 2))):
+        with pytest.raises(ValueError, match="row lengths"):
+            Tableau(rows)
+    with pytest.raises(ValueError):
+        Partition((1, 0, 1))
+
+
+def test_columns_of_increasing_height_are_rejected():
+    with pytest.raises(ValueError, match="column heights not non-increasing: \\[1, 2\\]"):
+        Tableau.from_columns([(1,), (2, 3)])
+    assert Tableau.from_columns([(1, 2), (3,), ()]).columns() == [(1, 2), (3,)]
+    assert Tableau.from_columns([]) == Tableau(())
+
+
+def test_standard_tableaux_round_trip_through_their_columns():
+    from bnspecht.partitions import enumerate_partitions
+
+    for n in range(7):
+        for p in enumerate_partitions(n):
+            for t in enumerate_standard_tableaux(p):
+                assert Tableau.from_columns(t.columns()) == t
+
+
 def test_bitableau_entries_partition_range():
     t = Tableau(((1, 3),))
     s = Tableau(((2,),))
