@@ -43,37 +43,31 @@ class ParseError(BnSpechtError, ValueError):
 class ResourceLimits:
     """Caps turning potential blow-ups into structured failures.
 
-    Each field is a non-negative integer and is the CLI cap option of the same
-    name (`max_basis` is `--max-basis`) on every subcommand that reads the caps.
+    Each field is a non-negative integer with a noun in `NOUNS`, and is the CLI
+    cap option of the same name (`max_basis` is `--max-basis`) on every
+    subcommand that reads the caps.
     """
 
     max_basis: int = 2000
     max_terms: int = 200000
     max_cosets: int = 10000
     max_enumeration: int = 100000
+    NOUNS = {  # each field's noun in its cap message: "basis size 3 exceeds cap 2"
+        "max_basis": "basis size",
+        "max_terms": "term count",
+        "max_cosets": "coset count",
+        "max_enumeration": "enumeration size",
+    }
 
     def __post_init__(self):
         for f in fields(self):
             if (value := getattr(self, f.name)) < 0:
                 raise ValueError(f"{f.name} must be non-negative, got {value}")
 
-    def check_basis(self, size: int):
-        if size > self.max_basis:
-            raise ResourceLimitExceeded(f"basis size {size} exceeds cap {self.max_basis}")
-
-    def check_terms(self, count: int):
-        if count > self.max_terms:
-            raise ResourceLimitExceeded(f"term count {count} exceeds cap {self.max_terms}")
-
-    def check_cosets(self, count: int):
-        if count > self.max_cosets:
-            raise ResourceLimitExceeded(f"coset count {count} exceeds cap {self.max_cosets}")
-
-    def check_enumeration(self, count: int):
-        if count > self.max_enumeration:
-            raise ResourceLimitExceeded(
-                f"enumeration size {count} exceeds cap {self.max_enumeration}"
-            )
+    def check(self, cap: str, count: int):
+        """Raise ResourceLimitExceeded when count exceeds the field named cap."""
+        if count > (limit := getattr(self, cap)):
+            raise ResourceLimitExceeded(f"{self.NOUNS[cap]} {count} exceeds cap {limit}")
 
 
 DEFAULT_LIMITS = ResourceLimits()

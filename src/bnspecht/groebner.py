@@ -220,12 +220,12 @@ def _normal_form(terms: dict, divisors, codec, limits: ResourceLimits) -> dict:
                         else:
                             del work[target]
                 if len(work) > cap:
-                    limits.check_terms(len(work))
+                    limits.check("max_terms", len(work))
                 break
         else:
             remainder[m] = coeff
     if len(remainder) > cap:
-        limits.check_terms(len(remainder))
+        limits.check("max_terms", len(remainder))
     return remainder
 
 
@@ -377,10 +377,10 @@ def _grown_basis(gens, codec, limits: ResourceLimits, max_sugar: float = inf):
         if nf:
             basis.append(_monic_divisor(nf, codec.sign))
             sugars.append(g.degree)
-            limits.check_basis(len(basis))
+            limits.check("max_basis", len(basis))
             yield basis[-1]
     for remainder in _s_pair_remainders(basis, sugars, codec, limits, max_sugar):
-        limits.check_basis(len(basis))
+        limits.check("max_basis", len(basis))
         yield remainder
 
 
@@ -507,8 +507,8 @@ def covering_certificate(
     set_b2 = tuple(range(a + b + extra + 1, n + 1))
 
     union = set_a + set_b1
-    limits.check_cosets(comb(len(union), a))
-    limits.check_terms(factorial(len(union)))  # the target V^2(union) has |union|! terms
+    limits.check("max_cosets", comb(len(union), a))
+    limits.check("max_terms", factorial(len(union)))  # the target V^2(union) has |union|! terms
 
     # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
     # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
@@ -521,7 +521,7 @@ def covering_certificate(
     for i in set_a:
         for j in set_b2[1:]:
             factor = SparsePolynomial.variable(n, i, 2) - SparsePolynomial.variable(n, j, 2)
-            limits.check_terms(len(base.terms) * len(factor.terms))
+            limits.check("max_terms", len(base.terms) * len(factor.terms))
             base = base * factor
     target = vandermonde_squares(n, union)
     symmetrized = _alternating_sum(

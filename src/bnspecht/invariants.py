@@ -58,6 +58,8 @@ class MonomialProfile:
 
 def monomial_profile(m: Monomial) -> MonomialProfile:
     """Split the exponents of m into their even and odd parts."""
+    if min(m.exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {m}")
     i1, i2, k, r = [], [], [], []
     for var, exp in sorted(m.exponents.items()):
         if exp % 2 == 0:
@@ -213,7 +215,7 @@ def verify_symmetrization(
     base_poly = cleaned * _column_expansion(n, index_sets, 2, odd_fresh)
 
     blocks = [(base,) + s for base, s in zip(bases, index_sets)]
-    limits.check_cosets(prod(factorial(len(b)) for b in blocks))
+    limits.check("max_cosets", prod(factorial(len(b)) for b in blocks))
     # the sign over the concatenated blocks is the product of the block signs
     total = _alternating_sum(
         base_poly,

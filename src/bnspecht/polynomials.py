@@ -227,11 +227,8 @@ class SparsePolynomial:
 
     @staticmethod
     def variable(n: int, i: int, power: int = 1) -> "SparsePolynomial":
-        _check_index(n, i)
-        try:
-            power = index(power)
-        except TypeError:
-            raise ValueError(f"non-integer exponent {power}") from None
+        i = _check_index(n, i)
+        power = _integer(power, "exponent")
         if power < 0:
             raise ValueError(f"negative exponent {power}")
         exps = tuple(power if j == i - 1 else 0 for j in range(n))
@@ -281,7 +278,8 @@ class SparsePolynomial:
         return SparsePolynomial(self.n, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
-        """Power by repeated squaring; negative exponents are rejected."""
+        """Power by repeated squaring; negative and non-integer exponents are rejected."""
+        k = _integer(k, "exponent")
         if k < 0:
             raise ValueError(f"negative exponent {k}")
         result = SparsePolynomial.constant(self.n, 1)
@@ -503,15 +501,15 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     column is an offset of its slot; the others, and a zero slot for any
     variable in neither, lead every term.
     """
+    columns = [tuple([_check_index(n, i) for i in col]) for col in columns]
     flat = [i for col in columns for i in col]
     in_columns = set(flat)
     if len(in_columns) != len(flat):
-        raise ValueError(f"repeated index in Vandermonde columns {list(columns)}")
+        raise ValueError(f"repeated index in Vandermonde columns {columns}")
     extra = {}  # odd variable -> its multiplicity
     for k in odd:
+        k = _check_index(n, k)
         extra[k] = extra.get(k, 0) + 1
-    for i in itertools.chain(extra, flat):
-        _check_index(n, i)
     slots = [k for k in extra if k not in in_columns]
     head = [extra[k] for k in slots]
     if len(slots) + len(flat) < n:
@@ -521,9 +519,18 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     return _scatter(n, *_column_product(offsets, step, head), slots + flat)
 
 
-def _check_index(n: int, i: int):
-    if not 1 <= i <= n:
+def _integer(value, what: str) -> int:
+    """value read with `operator.index`: a float, even 2.0, raises ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"non-integer {what} {value}") from None
+
+
+def _check_index(n: int, i: int) -> int:
+    if not 1 <= (i := _integer(i, "variable index")) <= n:
         raise AmbientMismatchError(f"variable x{i} outside ambient 1..{n}")
+    return i
 
 
 def vandermonde(n: int, indices) -> SparsePolynomial:
@@ -569,7 +576,7 @@ class SignedPermutation:
 
     @staticmethod
     def sign_flip(n: int, i: int) -> "SignedPermutation":
-        _check_index(n, i)
+        i = _check_index(n, i)
         return SignedPermutation(
             tuple(range(1, n + 1)), tuple(-1 if j == i else 1 for j in range(1, n + 1))
         )

@@ -137,7 +137,7 @@ def specht_polynomial_bn(
 ) -> SparsePolynomial:
     """Columnwise Vandermondes in the squares, times the second component's variables."""
     cols = bt.first.columns() + bt.second.columns()
-    limits.check_terms(prod(factorial(len(col)) for col in cols))
+    limits.check("max_terms", prod(factorial(len(col)) for col in cols))
     return _column_expansion(bt.n, cols, 2, sorted(bt.second.entries))
 
 
@@ -205,9 +205,9 @@ def specht_generators(
     heights = left_heights + right_heights
     split = len(left_heights)
     terms = prod(map(factorial, heights))
-    limits.check_terms(terms)
+    limits.check("max_terms", terms)
     runs = [len(list(r)) for hs in (left_heights, right_heights) for _, r in itertools.groupby(hs)]
-    limits.check_enumeration(factorial(n) // (terms * prod(map(factorial, runs))))
+    limits.check("max_enumeration", factorial(n) // (terms * prod(map(factorial, runs))))
     keys = []
 
     def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):

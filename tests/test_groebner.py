@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -32,7 +33,13 @@ from bnspecht.partitions import (
     hasse_diagram,
     parse_bipartition,
 )
-from bnspecht.polynomials import ORDER_TAGS, SparsePolynomial, parse_polynomial
+from bnspecht.polynomials import (
+    ORDER_TAGS,
+    SignedPermutation,
+    SparsePolynomial,
+    act,
+    parse_polynomial,
+)
 from bnspecht.tableaux import (
     _specht_degree,
     reference_bitableau,
@@ -486,3 +493,84 @@ def test_universal_gb_check_n5_findings(shape, passed):
     # the same verdict in every order: five candidate sets fail and these two pass
     rep = universal_gb_check(parse_bipartition(shape), 5, ORDER_TAGS)
     assert rep.results == tuple((tag, passed) for tag in ORDER_TAGS)
+
+
+# Metamorphic relations of the variable reversal w0: x_i -> x_{n+1-i}. The
+# X-rev order is X with its variables ranked in reverse, so w0 carries each
+# X computation onto the X-rev one; sign flips keep every order's monomials.
+
+BASE_ORDERS = ("lex", "deglex", "degrevlex")
+
+
+def _w0(n):
+    return SignedPermutation.from_permutation(range(n, 0, -1))
+
+
+def _small_ideals(count=60, seed=2029):
+    """A seeded sample: n <= 3, exponents <= 2, at most 3 generators of at most 3 terms,
+    and coefficients in +-{1, 2, 3}. Fixed, since random ideals can run long."""
+    rng = random.Random(seed)
+    ideals = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in range(n)): rng.choice((1, 2, 3, -1, -2, -3))
+                for _ in range(rng.randint(1, 3))
+            }
+            gens.append(SparsePolynomial(n, terms))
+        ideals.append((n, gens))
+    return ideals
+
+
+def test_reversed_order_specht_bases_are_w0_images():
+    cases = 0
+    for n in range(1, 5):
+        w0 = _w0(n)
+        for shape in enumerate_bipartitions(n):
+            for order in BASE_ORDERS:
+                forward = specht_ideal_basis(shape, n, order).generators
+                reversed_ = specht_ideal_basis(shape, n, f"{order}-rev").generators
+                assert reversed_ == tuple(act(w0, g) for g in forward), (shape, order)
+                cases += 1
+    assert cases == 111
+
+
+def test_reversed_order_buchberger_is_w0_conjugate_on_any_ideal():
+    for n, gens in _small_ideals():
+        w0 = _w0(n)
+        moved = [act(w0, g) for g in gens]
+        for order in BASE_ORDERS:
+            expected = tuple(act(w0, g) for g in buchberger(moved, order).generators)
+            assert buchberger(gens, f"{order}-rev").generators == expected, (gens, order)
+
+
+def test_reversed_order_verdicts_agree():
+    comparisons = 0
+    for n in range(1, 5):
+        shapes = enumerate_bipartitions(n)
+        for shape in shapes:
+            verdicts = dict(universal_gb_check(shape, n, ORDER_TAGS).results)
+            for order in BASE_ORDERS:
+                assert verdicts[order] == verdicts[f"{order}-rev"], (shape, order)
+            for lower in shapes:
+                for order in BASE_ORDERS:
+                    forward = specht_ideal_contains(shape, lower, n, order)
+                    assert specht_ideal_contains(shape, lower, n, f"{order}-rev") == forward
+                    comparisons += 1
+    assert comparisons == 1587
+
+
+def test_reduce_commutes_with_sign_flips():
+    rng = random.Random(2030)
+    for n, gens in _small_ideals():
+        for order in ORDER_TAGS:
+            gb = buchberger(gens, order)
+            f = SparsePolynomial(
+                n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(1, 3) for _ in range(4)}
+            )
+            signs = tuple(rng.choice((1, -1)) for _ in range(n))
+            flip = SignedPermutation(tuple(range(1, n + 1)), signs)
+            flipped = buchberger([act(flip, g) for g in gb.generators], order)
+            assert reduce(act(flip, f), flipped) == act(flip, reduce(f, gb)), (gens, order, flip)

@@ -27,7 +27,13 @@ from bnspecht.invariants import (
     verify_symmetrization,
 )
 from bnspecht.partitions import bidominates, bp, conjugate, enumerate_bipartitions
-from bnspecht.polynomials import Monomial, SignedPermutation, act, parse_polynomial
+from bnspecht.polynomials import (
+    Monomial,
+    SignedPermutation,
+    SparsePolynomial,
+    act,
+    parse_polynomial,
+)
 from bnspecht.tableaux import specht_generators
 
 
@@ -51,6 +57,21 @@ def test_gamma_examples():
     assert gamma_star(Monomial((1, 1, 0, 0)), 4) == bp((2,), (2,))
     assert gamma(Monomial((3, 0)), 2) == bp((), (2,))
     assert gamma_star(Monomial((3, 0)), 2) == bp((), (1, 1))
+
+
+def test_profiles_reject_a_negative_exponent():
+    m = Monomial((-1,))
+    x1 = parse_polynomial("x1", 1)
+    for call in (
+        lambda: monomial_profile(m),
+        lambda: gamma(m, 1),
+        lambda: gamma_star(m, 1),
+        lambda: detect_specht_subideal(SparsePolynomial(1, {(-1,): 1}), 1),
+        lambda: verify_symmetrization(x1, m, []),
+    ):
+        with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+            call()
+    assert str(m) == "x1^-1"  # a Monomial itself still holds a negative exponent
 
 
 def test_gamma_rejects_overweight_monomials():

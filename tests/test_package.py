@@ -4,9 +4,13 @@ import ast
 import importlib.util
 import types
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import bnspecht
+from bnspecht.errors import ResourceLimitExceeded, ResourceLimits
 
 
 def test_all_lists_no_modules():
@@ -192,6 +196,68 @@ def test_fraction_scan_finds_an_added_construction():
     line = sources["varieties.py"].count("\n") + 3
     sources["varieties.py"] += "\n\nONE = Fraction(1)\n"
     assert fraction_constructions(sources) == [f"varieties.py:{line}"]
+
+
+CAPS = [f.name for f in fields(ResourceLimits)]
+
+
+def cap_check_problems(sources: dict[str, str], caps: list[str]) -> list[str]:
+    """Each `.check(...)` call whose first argument is not a string literal naming a cap,
+    then each cap that no call checks.
+
+    `ResourceLimits.check` finds its limit by name, so a misspelt name fails
+    only when the check runs; this scan fails it at once.
+    """
+    problems, checked = [], set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "check"
+            ):
+                continue
+            cap = node.args[0] if node.args else None
+            if isinstance(cap, ast.Constant) and cap.value in caps:
+                checked.add(cap.value)
+            else:
+                problems.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    return problems + [f"{cap} is never checked" for cap in caps if cap not in checked]
+
+
+def test_every_cap_has_a_noun():
+    assert list(ResourceLimits.NOUNS) == CAPS
+
+
+def test_every_cap_check_names_a_cap_and_every_cap_is_checked():
+    assert cap_check_problems({path.name: path.read_text() for path in SOURCES}, CAPS) == []
+
+
+def test_cap_scan_finds_a_misspelt_cap_and_an_unchecked_one():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    text = sources["invariants.py"]
+    line = text[: text.index('limits.check("max_cosets"')].count("\n") + 1
+    sources["invariants.py"] = text.replace('check("max_cosets"', 'check("max_coset"')
+    problems = cap_check_problems(sources, [*CAPS, "max_seconds"])
+    assert problems[0].startswith(f"invariants.py:{line} limits.check('max_coset', ")
+    assert problems[1:] == ["max_seconds is never checked"]
+
+
+CAP_MESSAGES = {
+    "max_basis": "basis size 1 exceeds cap 0",
+    "max_terms": "term count 1 exceeds cap 0",
+    "max_cosets": "coset count 1 exceeds cap 0",
+    "max_enumeration": "enumeration size 1 exceeds cap 0",
+}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_each_cap_names_its_noun_count_and_limit(cap):
+    limits = ResourceLimits(**{cap: 0})
+    limits.check(cap, 0)
+    with pytest.raises(ResourceLimitExceeded) as caught:
+        limits.check(cap, 1)
+    assert str(caught.value) == CAP_MESSAGES[cap]
 
 
 def load_tracing():

@@ -302,6 +302,47 @@ def test_vandermonde_alternates_under_transposition():
     assert act(swap, v) == -v
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0])
+def test_a_non_integer_variable_index_is_rejected(bad):
+    message = f"non-integer variable index {bad}"
+    with pytest.raises(ValueError, match=message):
+        SparsePolynomial.variable(2, bad)
+    with pytest.raises(ValueError, match=message):
+        SignedPermutation.sign_flip(3, bad)
+    with pytest.raises(ValueError, match=message):
+        vandermonde(3, [bad, 2])
+    with pytest.raises(ValueError, match=message):
+        vandermonde_squares(3, [2, bad])
+
+
+class Index:
+    """An integer only through __index__: not an int, and not equal to one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_an_index_object_reads_as_its_integer():
+    one, two = Index(1), Index(2)
+    assert SparsePolynomial.variable(3, two, two) == parse_polynomial("x2^2", 3)
+    assert SignedPermutation.sign_flip(3, two) == SignedPermutation((1, 2, 3), (1, -1, 1))
+    assert vandermonde(3, [one, 2]) == parse_polynomial("x1 - x2", 3)
+    assert _column_expansion(3, [(one, 2)], 1, [one]) == parse_polynomial("x1^2 - x1*x2", 3)
+    assert parse_polynomial("x1 + 1", 1) ** two == parse_polynomial("x1^2 + 2*x1 + 1", 1)
+
+
+def test_power_rejects_a_non_integer_exponent():
+    p = parse_polynomial("x1 + 1", 1)
+    for k in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"non-integer exponent {k}"):
+            p ** k
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        p ** -1
+
+
 def test_sign_flip_action():
     p = parse_polynomial("x1*x2 + x1^2", 2)
     flip = SignedPermutation.sign_flip(2, 1)

@@ -1,6 +1,7 @@
 """Tests for orbit types, orbit sets and the variety decomposition."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,21 @@ def test_bn_orbit_type_is_constant_on_signed_permutation_orbits():
         for signs in itertools.product((1, -1), repeat=4):
             g = SignedPermutation(perm, signs)
             assert bn_orbit_type(act_point(g, z)) == base
+
+
+def test_orbit_type_and_evaluated_membership_ignore_a_random_signed_permutation():
+    rng = random.Random(2031)
+    for n in range(1, 6):
+        shapes = enumerate_bipartitions(n)
+        for _ in range(10):
+            z = tuple(rng.randint(-2, 2) for _ in range(n))
+            perm = rng.sample(range(1, n + 1), n)
+            g = SignedPermutation(tuple(perm), tuple(rng.choice((1, -1)) for _ in range(n)))
+            moved = act_point(g, z)
+            assert bn_orbit_type(moved) == bn_orbit_type(z), (z, g)
+            for shape in shapes:
+                expected = variety_contains(shape, z, "evaluate")
+                assert variety_contains(shape, moved, "evaluate") == expected, (shape, z, g)
 
 
 def test_orbit_set_nonempty_n3():
