@@ -56,7 +56,14 @@ from .polynomials import (
     _parse_order,
     vandermonde_squares,
 )
-from .tableaux import _specht_degree, reference_bitableau, specht_generators, specht_polynomial_bn
+from .tableaux import (
+    _nonvanishing_assignment,
+    _specht_degree,
+    reference_bitableau,
+    specht_generators,
+    specht_polynomial_bn,
+)
+from .varieties import Point, _nonempty_classes, orbit_representative
 
 
 @dataclass(frozen=True)
@@ -608,25 +615,71 @@ def radical_report(
 ) -> dict:
     """Empirical radicality evidence for a Specht ideal.
 
-    For the reference generator of every shape of the same size, membership
-    in the radical (auxiliary-variable criterion) is compared against plain
-    ideal membership; a radical ideal makes the two verdicts agree on every
-    sample. The report records any disagreement instead of asserting.
+    For the reference generator f_mu of every shape mu of the same size,
+    membership in the radical of I = I_shape is compared against plain ideal
+    membership; a radical ideal makes the two verdicts agree on every sample.
+    The report records any disagreement instead of asserting.
+
+    `in_ideal` reduces f_mu against the deglex basis. A member is in the
+    radical, as I lies in its radical. For a non-member, `in_radical` holds
+    iff `_radical_witness` finds no orbit representative z at which every
+    generator of the shape vanishes and some generator of mu does not. That
+    search decides it:
+
+    - Whether a Specht generator vanishes at a point depends only on which
+      coordinates have equal squares and which are zero, and the generators of
+      a shape are permuted, up to sign, by every permutation of the variables.
+      So whether all of them vanish depends only on the point's orbit type,
+      over the complex numbers as over the rationals.
+    - Every orbit type has a representative in `_nonempty_classes(n)`, so
+      `_vanishing_representatives` lists one point of each type in V(I).
+    - The radical of I is B_n-stable, and the generators of mu are the orbit
+      of f_mu up to sign, so f_mu lies in it iff every generator of mu does.
+    - By the Nullstellensatz (Cox, Little and O'Shea, Ideals, Varieties, and
+      Algorithms, ch. 4), a generator lies in the radical iff it vanishes on
+      V(I), that is at every listed representative.
+
+    `radical_membership`, the auxiliary-variable route, decides the same
+    question without this argument; the test suite compares the two.
     """
     _check_size(n, shape)
-    gens = specht_generators(shape, n, limits)
-    gb = buchberger(gens, "deglex", limits)
+    gb = buchberger(specht_generators(shape, n, limits), "deglex", limits)
+    zeros = _vanishing_representatives(shape, n, limits)
     samples = []
     agreement = True
     for other in enumerate_bipartitions(n):
         f = specht_polynomial_bn(reference_bitableau(other, n), limits)
-        in_radical = radical_membership(f, gens, limits)
         in_ideal = reduce(f, gb, limits).is_zero
+        in_radical = in_ideal or _radical_witness(other, zeros, limits) is None
         samples.append(
             {"sample_shape": str(other), "in_radical": in_radical, "in_ideal": in_ideal}
         )
         agreement = agreement and (in_radical == in_ideal)
     return {"shape": str(shape), "n": n, "agreement": agreement, "samples": samples}
+
+
+def _vanishing_representatives(
+    shape: Bipartition, n: int, limits: ResourceLimits
+) -> list[Point]:
+    """The class representatives of size n at which every generator of the shape vanishes."""
+    points = map(orbit_representative, _nonempty_classes(n))
+    return [z for z in points if _nonvanishing_assignment(shape, z, limits) is None]
+
+
+def _radical_witness(
+    other: Bipartition, zeros, limits: ResourceLimits
+) -> tuple[Point, list[tuple[int, ...]]] | None:
+    """(z, assignment): the first point of zeros where a generator of other is nonzero, or None.
+
+    The assignment is that generator's columns (`tableaux._column_assignments`).
+    With zeros from `_vanishing_representatives(shape, n)`, a certificate that
+    other's reference generator lies outside the radical of I_shape.
+    """
+    for z in zeros:
+        chosen = _nonvanishing_assignment(other, z, limits)
+        if chosen is not None:
+            return z, chosen
+    return None
 
 
 @dataclass(frozen=True)
@@ -657,15 +710,23 @@ def universal_gb_check(
     one bidominates, itself included. The report records whether that set is
     a Groebner basis in each order: findings about that set, which assert
     nothing about the ideal beyond it.
+
+    Each base order X among the tags is checked once, and X-rev reports X's
+    verdict. X-rev is X with the variables ranked in reverse, so a set G passes
+    under X-rev iff w0(G) passes under X, for w0: x_i -> x_{n+1-i}. The
+    candidate set is a union of S_n-orbits up to sign, so w0(G) is G up to the
+    signs of its elements, which do not change whether it is a Groebner basis.
     """
     _check_size(n, shape)
     orders = list(orders)
-    for tag in orders:
-        _parse_order(tag)  # an unknown tag fails before any generator is built
+    bases = [_parse_order(tag)[0] for tag in orders]  # an unknown tag fails before any is built
     # generators of distinct shapes are distinct polynomials (unique factorisation)
     below = hasse_diagram(n).vertices_below(shape)
     candidate = [g for other in below for g in specht_generators(other, n, limits)]
-    results = tuple((tag, _passes_buchberger_criterion(candidate, tag, limits)) for tag in orders)
+    verdicts = {
+        base: _passes_buchberger_criterion(candidate, base, limits) for base in dict.fromkeys(bases)
+    }
+    results = tuple((tag, verdicts[base]) for tag, base in zip(orders, bases))
     return UniversalGBReport(shape, n, results, len(candidate))
 
 

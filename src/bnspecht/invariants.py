@@ -233,12 +233,15 @@ def verify_symmetrization(
 # building invariant ideals from a single polynomial
 
 
-def bn_orbit(P: SparsePolynomial) -> list[SparsePolynomial]:
+def bn_orbit(
+    P: SparsePolynomial, limits: ResourceLimits = DEFAULT_LIMITS
+) -> list[SparsePolynomial]:
     """The full signed-permutation orbit of P, deduplicated, in canonical order.
 
     The orbit is the closure of {P} under the generators of B_n: the adjacent
     transpositions and the sign flip of x1. Each orbit element is acted on
-    once per generator.
+    once per generator. The orbit can reach 2^n * n! elements; its size is
+    held to `limits.max_enumeration` as it grows.
     """
     n = P.n
     generators = [SignedPermutation.sign_flip(n, 1)] if n else []
@@ -256,5 +259,6 @@ def bn_orbit(P: SparsePolynomial) -> list[SparsePolynomial]:
             if r not in seen:
                 seen.add(r)
                 out.append(r)
+                limits.check("max_enumeration", len(out))
     out.sort(key=lambda q: sorted(q.terms.items()))
     return out

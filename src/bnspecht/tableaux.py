@@ -177,6 +177,55 @@ def relabel_bitableau(bt: Bitableau, mapping: dict[int, int]) -> Bitableau:
     return Bitableau(remap(bt.first), remap(bt.second), bt.n)
 
 
+def _column_heights(shape: Bipartition) -> tuple[tuple[int, ...], int]:
+    """The column heights of the first tableau, then of the second, and the first's count."""
+    left = conjugate(shape.left).parts
+    return left + conjugate(shape.right).parts, len(left)
+
+
+def _column_assignments(
+    heights: tuple[int, ...], split: int, n: int, limits: ResourceLimits, admits=None
+) -> list[list[tuple[int, ...]]]:
+    """Every assignment of 1..n to columns of these heights, one per Specht generator.
+
+    An assignment is a list of column entry tuples, the first `split` columns
+    the first tableau's. Each column takes a combination of the remaining
+    entries, and equal-height columns of one tableau come in increasing order:
+    disjoint columns compare by their first entries, so a column that follows
+    an equal-height one draws only from the remaining entries above that
+    column's first, and no combination is discarded. There are
+    n! / (prod h! * prod r!) assignments, h over the column heights and r over
+    the lengths of the runs of equal-height columns in each tableau; that count
+    is checked against `limits.max_enumeration` before any is made.
+
+    admits(k, col), when given, prunes every assignment whose k-th column is
+    col, and the search stops at the first survivor: the list holds at most
+    that one.
+    """
+    sides = (heights[:split], heights[split:])
+    runs = [len(list(r)) for hs in sides for _, r in itertools.groupby(hs)]
+    count = factorial(n) // (prod(map(factorial, heights)) * prod(map(factorial, runs)))
+    limits.check("max_enumeration", count)
+    last = len(heights)
+    out = []
+
+    def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
+        if k == last:
+            out.append(chosen)
+            return
+        pool = remaining
+        if k not in (0, split) and heights[k - 1] == heights[k]:
+            pool = remaining[bisect(remaining, chosen[-1][0]) :]
+        for col in itertools.combinations(pool, heights[k]):
+            if admits is None or admits(k, col):
+                assign(k + 1, tuple(e for e in remaining if e not in col), chosen + [col])
+                if admits is not None and out:
+                    return
+
+    assign(0, tuple(range(1, n + 1)), [])
+    return out
+
+
 def specht_generators(
     shape: Bipartition, n: int, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> list[SparsePolynomial]:
@@ -184,14 +233,8 @@ def specht_generators(
 
     A Specht polynomial is fixed up to sign by its column sets and by which
     tableau each column belongs to, and distinct assignments give distinct
-    polynomials. Each assignment is enumerated once: a combination of the
-    remaining entries per column, with equal-height columns of one tableau in
-    increasing order. Disjoint columns compare by their first entries, so a
-    column that follows an equal-height one draws only from the remaining
-    entries above that column's first, and no combination is discarded. There
-    are n! / (prod h! * prod r!) assignments, h over the column heights and r
-    over the lengths of the runs of equal-height columns in each tableau; that
-    count is checked against `limits.max_enumeration` before any is made.
+    polynomials, so each comes once from `_column_assignments`; their count is
+    checked there, after the term count of one generator.
     Output follows the sorted (first, second) column sets.
     Every generator is the same column product with other variables in its
     slots, so `_column_product` builds it once in slot order (the columns in
@@ -201,31 +244,40 @@ def specht_generators(
     +1, so each comes out sign-normalized.
     """
     _check_size(n, shape)
-    left_heights, right_heights = conjugate(shape.left).parts, conjugate(shape.right).parts
-    heights = left_heights + right_heights
-    split = len(left_heights)
-    terms = prod(map(factorial, heights))
-    limits.check("max_terms", terms)
-    runs = [len(list(r)) for hs in (left_heights, right_heights) for _, r in itertools.groupby(hs)]
-    limits.check("max_enumeration", factorial(n) // (terms * prod(map(factorial, runs))))
-    keys = []
-
-    def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
-        if k == len(heights):
-            keys.append(((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))), chosen))
-            return
-        pool = remaining
-        if k not in (0, split) and heights[k - 1] == heights[k]:
-            pool = remaining[bisect(remaining, chosen[-1][0]) :]
-        for col in itertools.combinations(pool, heights[k]):
-            rest = tuple(e for e in remaining if e not in col)
-            assign(k + 1, rest, chosen + [col])
-
-    assign(0, tuple(range(1, n + 1)), [])
-    keys.sort()
-    odd = [(0,) * h for h in left_heights] + [(1,) * h for h in right_heights]
+    heights, split = _column_heights(shape)
+    limits.check("max_terms", prod(map(factorial, heights)))
+    keys = sorted(
+        ((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))), chosen)
+        for chosen in _column_assignments(heights, split, n, limits)
+    )
+    odd = [(0,) * h for h in heights[:split]] + [(1,) * h for h in heights[split:]]
     exps, signs = _column_product(odd, 2)
     return [_scatter(n, exps, signs, [e for col in chosen for e in col]) for _, chosen in keys]
+
+
+def _nonvanishing_assignment(
+    shape: Bipartition, z, limits: ResourceLimits = DEFAULT_LIMITS
+) -> list[tuple[int, ...]] | None:
+    """The first column assignment whose Specht generator is nonzero at z, or None.
+
+    A generator is a product of column Vandermondes in the squares, times the
+    variables of the second tableau's columns, so it is nonzero at z iff the
+    entries of each column have distinct squares and every entry of a
+    second-tableau column is nonzero. The coordinates are squared once and no
+    polynomial is built; the assignments are those of `specht_generators`, and
+    their count is held to `limits.max_enumeration` as there.
+    """
+    n = len(z)
+    _check_size(n, shape)
+    heights, split = _column_heights(shape)
+    squares = (None, *(c * c for c in z))  # squares[e] belongs to entry e
+
+    def admits(k: int, col: tuple[int, ...]) -> bool:
+        seen = {squares[e] for e in col}
+        return len(seen) == len(col) and (k < split or 0 not in seen)
+
+    survivors = _column_assignments(heights, split, n, limits, admits)
+    return survivors[0] if survivors else None
 
 
 # ---------------------------------------------------------------------------

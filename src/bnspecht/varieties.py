@@ -27,7 +27,7 @@ from .partitions import (
     hasse_diagram,
 )
 from .polynomials import Coefficient, _normalize
-from .tableaux import specht_generators
+from .tableaux import _nonvanishing_assignment
 
 Point = tuple[Coefficient, ...]
 
@@ -89,9 +89,11 @@ def _blocks(sizes, start: int = 1) -> Point:
 def variety_contains(shape: Bipartition, z, strategy: str = "orbit") -> bool:
     """Point membership in the Specht variety of the shape.
 
-    strategy "evaluate" checks that every Specht generator vanishes at z;
-    strategy "orbit" checks that the orbit type of z fails to bidominate the
-    shape. The two must agree, which the test suite verifies.
+    strategy "evaluate" checks that every Specht generator vanishes at z,
+    from the generators' product form (`tableaux._nonvanishing_assignment`)
+    without expanding any; strategy "orbit" checks that the orbit type of z
+    fails to bidominate the shape. The two must agree, which the test suite
+    verifies.
     """
     z = as_point(z)
     if shape.size != len(z):
@@ -99,7 +101,7 @@ def variety_contains(shape: Bipartition, z, strategy: str = "orbit") -> bool:
     if strategy == "orbit":
         return not bidominates(shape, bn_orbit_type(z))
     if strategy == "evaluate":
-        return all(g.evaluate(z) == 0 for g in specht_generators(shape, len(z)))
+        return _nonvanishing_assignment(shape, z) is None
     raise ValueError(f"unknown strategy {strategy!r}; choose 'orbit' or 'evaluate'")
 
 

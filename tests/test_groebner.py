@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspecht import groebner
-from bnspecht.errors import AmbientMismatchError, ResourceLimitExceeded, SizeMismatchError
+from bnspecht.errors import (
+    DEFAULT_LIMITS,
+    AmbientMismatchError,
+    ResourceLimitExceeded,
+    SizeMismatchError,
+)
 from bnspecht.groebner import (
     GroebnerBasis,
     ResourceLimits,
@@ -29,6 +34,7 @@ from bnspecht.groebner import (
 from bnspecht.partitions import (
     bidominates,
     bp,
+    conjugate,
     enumerate_bipartitions,
     hasse_diagram,
     parse_bipartition,
@@ -41,6 +47,8 @@ from bnspecht.polynomials import (
     parse_polynomial,
 )
 from bnspecht.tableaux import (
+    Bitableau,
+    Tableau,
     _specht_degree,
     reference_bitableau,
     specht_generators,
@@ -406,6 +414,77 @@ def test_radical_report_agreement_n2():
     assert len(report["samples"]) == 5
 
 
+def test_radical_report_matches_the_auxiliary_variable_route():
+    """Every radical verdict for n <= 4, against `radical_membership` (Rabinowitsch)."""
+    comparisons = 0
+    for n in range(1, 5):
+        shapes = enumerate_bipartitions(n)
+        refs = [specht_polynomial_bn(reference_bitableau(b, n)) for b in shapes]
+        for shape in shapes:
+            gens = specht_generators(shape, n)
+            samples = radical_report(shape, n)["samples"]
+            for other, f, sample in zip(shapes, refs, samples):
+                assert sample["sample_shape"] == str(other)
+                assert sample["in_radical"] == radical_membership(f, gens), (shape, other)
+                comparisons += 1
+    assert comparisons == 2**2 + 5**2 + 10**2 + 20**2
+
+
+@pytest.mark.parametrize("n,digest", [(4, "1730c7a029af660e"), (5, "7d33ad40c90a2e24")])
+def test_radical_halves_stay_pinned(n, digest):
+    """The radical reports of every shape, as the Rabinowitsch route wrote them."""
+    reports = [radical_report(shape, n) for shape in enumerate_bipartitions(n)]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _named_generator(shape, columns, n):
+    """The Specht generator of the shape whose columns, first tableau's first, are these."""
+    split = len(conjugate(shape.left).parts)
+    first, second = Tableau.from_columns(columns[:split]), Tableau.from_columns(columns[split:])
+    return specht_polynomial_bn(Bitableau(first, second, n))
+
+
+def test_radical_certificates_exist_exactly_for_non_members(monkeypatch):
+    """A certificate (z, columns) exists for a sample iff it is not an ideal member.
+
+    Each certificate is checked by expanded evaluation: every generator of the
+    shape vanishes at z and the named generator of the sample does not. The
+    report must take every non-member's radical verdict from this search.
+    """
+    searched = {}
+    search = groebner._radical_witness
+
+    def recorded(other, zeros, limits):
+        searched[other] = search(other, zeros, limits)
+        return searched[other]
+
+    monkeypatch.setattr(groebner, "_radical_witness", recorded)
+    certificates = 0
+    for n in range(1, 6):
+        shapes = enumerate_bipartitions(n)
+        for shape in shapes:
+            searched.clear()
+            samples = radical_report(shape, n)["samples"]
+            zeros = groebner._vanishing_representatives(shape, n, DEFAULT_LIMITS)
+            gens = specht_generators(shape, n)
+            vanishes = {z: all(g.evaluate(z) == 0 for g in gens) for z in zeros}
+            for other, sample in zip(shapes, samples):
+                certificate = search(other, zeros, DEFAULT_LIMITS)
+                assert (certificate is None) == sample["in_ideal"], (shape, other)
+                if certificate is None:
+                    continue
+                assert other in searched, (shape, other)
+                assert searched[other] == certificate and sample["in_radical"] is False
+                z, columns = certificate
+                assert vanishes[z], (shape, z)
+                generator = _named_generator(other, columns, n)
+                assert {generator, -generator} & set(specht_generators(other, n))
+                assert generator.evaluate(z) != 0, (shape, other, z)
+                certificates += 1
+    assert certificates == 1 + 11 + 51 + 225 + 763  # the pairs that do not bidominate
+
+
 def test_universal_gb_check_reports():
     rep = universal_gb_check(bp((2,), ()), 2, ["lex"])
     assert dict(rep.results)["lex"] is True  # the candidate set contains 1
@@ -448,7 +527,10 @@ def test_pair_work_stays_pinned(monkeypatch):
     """S-polynomials formed and normal forms taken over one fixed recipe.
 
     The counts move only if the pair queue or its pruning changes: a loop
-    without the B_k criterion forms 2,214 and takes 4,278.
+    without the B_k criterion forms 1,920 and takes 3,674. They read 2,006
+    and 4,070 while `radical_report` ran a Rabinowitsch search per sample;
+    those runs formed 261 and took 571 of them, and witness searches at orbit
+    representatives replaced them: 2,006 - 261 = 1,745 and 4,070 - 571 = 3,499.
     """
     calls = {"_s_polynomial": 0, "_normal_form": 0}
 
@@ -474,7 +556,7 @@ def test_pair_work_stays_pinned(monkeypatch):
     for i, j in diagram.edges:
         upper, lower = diagram.vertices[i], diagram.vertices[j]
         assert specht_ideal_contains(upper, lower, 5, "degrevlex")
-    assert calls == {"_s_polynomial": 2006, "_normal_form": 4070}
+    assert calls == {"_s_polynomial": 1745, "_normal_form": 3499}
 
 
 N5_FINDINGS = [
@@ -560,6 +642,24 @@ def test_reversed_order_verdicts_agree():
                     assert specht_ideal_contains(shape, lower, n, f"{order}-rev") == forward
                     comparisons += 1
     assert comparisons == 1587
+
+
+def test_reversed_order_verdicts_match_the_direct_criterion():
+    """Each derived X-rev verdict of `universal_gb_check`, against the criterion run under X-rev."""
+    checks = 0
+    for n in range(1, 5):
+        diagram = hasse_diagram(n)
+        for shape in enumerate_bipartitions(n):
+            below = diagram.vertices_below(shape)
+            candidate = [g for other in below for g in specht_generators(other, n)]
+            verdicts = universal_gb_check(shape, n, ORDER_TAGS).results
+            assert [tag for tag, _ in verdicts] == list(ORDER_TAGS)
+            for tag, passed in verdicts:
+                if tag.endswith("-rev"):
+                    direct = groebner._passes_buchberger_criterion(candidate, tag, DEFAULT_LIMITS)
+                    assert passed == direct, (shape, tag)
+                    checks += 1
+    assert checks == 3 * (2 + 5 + 10 + 20)
 
 
 def test_reduce_commutes_with_sign_flips():

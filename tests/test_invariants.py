@@ -247,6 +247,13 @@ def test_bn_orbit_is_closed_and_deterministic():
     assert len(bn_orbit(parse_polynomial("x1*x2", 2))) == 2
 
 
+def test_bn_orbit_size_is_capped():
+    P = parse_polynomial("x1 + 2*x2^2 + 3*x3^3 + 4*x4^4 + 5*x5^5", 5)
+    with pytest.raises(ResourceLimitExceeded, match="enumeration size 101 exceeds cap 100"):
+        bn_orbit(P, ResourceLimits(max_enumeration=100))
+    assert len(bn_orbit(P)) == 2**3 * 120  # the sign flips of x2 and x4 fix P
+
+
 def test_detected_subideal_is_contained_in_the_invariant_ideal():
     # the ideal generated by the orbit of P must contain the Specht ideal of
     # every detected label

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from bnspecht.errors import EmptyOrbitError, SizeMismatchError
 from bnspecht.partitions import Partition, bidominates, bp, enumerate_bipartitions
 from bnspecht.polynomials import SignedPermutation, act_point, parse_point, parse_polynomial
+from bnspecht.tableaux import specht_generators
 from bnspecht.varieties import (
+    _nonempty_classes,
     bn_orbit_type,
     decompose_variety,
     decomposition_report,
@@ -213,6 +215,20 @@ def test_witness_points_lie_outside_their_variety():
             for z in (witness_z1(shape), witness_z2(shape)):
                 assert len(z) == n
                 assert not variety_contains(shape, z, "orbit"), (str(shape), z)
+
+
+def test_product_form_vanishing_matches_expanded_evaluation():
+    """`variety_contains(..., "evaluate")` reads the product form; expand every generator instead."""
+    pairs = 0
+    for n in range(1, 7):
+        points = [orbit_representative(c) for c in _nonempty_classes(n)]
+        for shape in enumerate_bipartitions(n):
+            gens = specht_generators(shape, n)
+            for z in points:
+                expanded = all(g.evaluate(z) == 0 for g in gens)
+                assert variety_contains(shape, z, "evaluate") == expanded, (str(shape), z)
+                pairs += 1
+    assert pairs == 2 * 2 + 5 * 4 + 10 * 7 + 20 * 12 + 36 * 19 + 65 * 30
 
 
 def test_witness_point_examples():
