@@ -19,7 +19,6 @@ from .groebner import (
     buchberger,
     covering_certificate,
     inclusion_by_certificates,
-    radical_membership,
     radical_report,
     reduce,
     specht_ideal_basis,

@@ -1,11 +1,11 @@
 """Buchberger machinery, Specht-ideal inclusions and covering certificates.
 
-Every Groebner computation (`buchberger`, `reduce`, Specht-ideal inclusion,
-radical membership and the universal-basis check) runs on one private kernel
-over packed monomials (Monagan and Pearce, CASC 2007). One growth core,
-`_grown_basis`, serves `buchberger` and both membership predicates, which
-stop it as soon as their answer is known. `polynomials._MonomialCodec` lays
-an exponent tuple out as one Python int:
+Every Groebner computation (`buchberger`, `reduce`, Specht-ideal inclusion
+and the universal-basis check) runs on one private kernel over packed
+monomials (Monagan and Pearce, CASC 2007). One growth core, `_grown_basis`,
+serves `buchberger` and Specht-ideal inclusion, which stops it at the degree
+its answer needs. `polynomials._MonomialCodec` lays an exponent tuple out as
+one Python int:
 
 - each variable has a field of w bits whose top bit is a guard bit, with
   the variable the order compares first in the most significant field;
@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, inf
+from math import comb, factorial, inf, prod
 from operator import itemgetter
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits
@@ -57,6 +57,8 @@ from .polynomials import (
     vandermonde_squares,
 )
 from .tableaux import (
+    _column_assignments,
+    _column_heights,
     _nonvanishing_assignment,
     _specht_degree,
     reference_bitableau,
@@ -437,29 +439,58 @@ def specht_ideal_contains(
     Decided purely by Groebner reduction; the combinatorial order is never
     consulted, so agreement with bidominance is an independent cross-check.
     The ideal of a is stable under B_n and the generators of b form the orbit
-    of b's reference polynomial f, so reducing that one polynomial decides it.
+    of b's reference polynomial f, so deciding that one polynomial decides it.
 
     Specht polynomials are homogeneous and each shape's generators share one
-    degree (`tableaux._specht_degree`); both cuts below hold only because of
-    that. If a's degree exceeds d = deg f, every nonzero member of I_a has
-    larger degree, so the answer is False and no generator is built.
-    Otherwise the basis of I_a is grown only through the S-pairs of degree at
-    most d: a Groebner basis up to degree d, which reduces f to zero iff f
-    lies in I_a. It is neither completed nor reduced.
+    degree (`tableaux._specht_degree`). If a's degree exceeds d = deg f, every
+    nonzero member of I_a has larger degree, so the answer is False and no
+    generator is built.
+
+    Otherwise it is decided in Q[y], y = x^2, the order tag applied to y. The
+    sign flips grade Q[x] by exponent parity, and each generator of a is
+    g_i = x^e_i h_i(y): e_i marks its second tableau's entries and h_i is its
+    product of column Vandermondes in y. With f = x^e_f h_f(y), f lies in I_a
+    iff h_f lies in J = < y^(e_i & ~e_f) h_i >. If f = sum c_i g_i, the part
+    of c_i g_i in the parity class of f is x^(e_i ^ e_f) c'_i(y) g_i =
+    x^e_f y^(e_i & ~e_f) c'_i h_i, so cancelling x^e_f puts h_f in J; and
+    h_f = sum c'_i y^(e_i & ~e_f) h_i lifts to f = sum c'_i(x^2) x^(e_i ^ e_f) g_i.
+
+    J is homogeneous and h_f has degree d_y = (d - |e_f|) / 2, so a generator
+    of J of higher degree cannot contribute: none is built, and if no other
+    is left the answer is False. The basis of the rest is grown only through
+    the S-pairs of degree at most d_y: a Groebner basis up to degree d_y,
+    which reduces h_f to zero iff h_f lies in J. It is neither completed nor
+    reduced. The caps are checked as `specht_generators(a)` and then
+    `specht_polynomial_bn` on b's reference check them.
     """
     _check_size(n, a, b)
     _parse_order(order)  # an unknown order fails even where the degrees decide
     d = _specht_degree(b)
     if _specht_degree(a) > d:
         return False
-    gens = specht_generators(a, n, limits)
-    f = specht_polynomial_bn(reference_bitableau(b, n), limits)
+    heights, split = _column_heights(a)
+    limits.check("max_terms", prod(map(factorial, heights)))
+    assignments = _column_assignments(heights, split, n, limits)
+    ref = reference_bitableau(b, n)
+    columns = ref.first.columns() + ref.second.columns()
+    limits.check("max_terms", prod(factorial(len(col)) for col in columns))
+    d_y = (d - b.right.size) // 2
+    spare = d_y - (_specht_degree(a) - a.right.size) // 2  # the odd count a generator can add
+    e_f = ref.second.entries
+    gens = []
+    for chosen in assignments:
+        odd = [e for col in chosen[split:] for e in col if e not in e_f]
+        if len(odd) <= spare:
+            gens.append(_column_expansion(n, chosen, 1, odd))
+    if not gens:
+        return False
+    h_f = _column_expansion(n, columns, 1)
 
     def contains(codec):
-        basis = list(_grown_basis(gens, codec, limits, d))
-        return not _normal_form(codec.pack_terms(f.terms), basis, codec, limits)
+        basis = list(_grown_basis(gens, codec, limits, d_y))
+        return not _normal_form(codec.pack_terms(h_f.terms), basis, codec, limits)
 
-    return _packed_run(n, order, [*gens, f], contains)
+    return _packed_run(n, order, [*gens, h_f], contains)
 
 
 # ---------------------------------------------------------------------------
@@ -582,34 +613,6 @@ def inclusion_by_certificates(
 # the conjecture harness
 
 
-def radical_membership(
-    f: SparsePolynomial, gens, limits: ResourceLimits = DEFAULT_LIMITS
-) -> bool:
-    """True iff f vanishes on the zero set of gens.
-
-    By the auxiliary-variable trick (Rabinowitsch; Cox, Little and O'Shea,
-    Ideals, Varieties, and Algorithms, ch. 4 sec. 2), that holds iff 1 lies
-    in the ideal of gens and 1 - y f in one more variable y. Its basis is
-    grown under deglex and the run stops at the first admitted element that
-    is a nonzero constant; only a non-member grows the whole basis.
-    """
-    gens = list(gens)
-    if not gens:
-        return f.is_zero
-    n = gens[0].n
-    if f.n != n or any(g.n != n for g in gens):
-        raise AmbientMismatchError("polynomials live in different rings")
-    lifted = [g.extend(n + 1) for g in gens]
-    y = SparsePolynomial.variable(n + 1, n + 1)
-    lifted.append(SparsePolynomial.constant(n + 1, 1) - y * f.extend(n + 1))
-
-    def finds_unit(codec):
-        # the packed key 0 is the monomial 1, which leads only a constant
-        return any(lead == 0 for _, lead, _, _ in _grown_basis(lifted, codec, limits))
-
-    return _packed_run(n + 1, "deglex", lifted, finds_unit)
-
-
 def radical_report(
     shape: Bipartition, n: int, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> dict:
@@ -639,8 +642,8 @@ def radical_report(
       Algorithms, ch. 4), a generator lies in the radical iff it vanishes on
       V(I), that is at every listed representative.
 
-    `radical_membership`, the auxiliary-variable route, decides the same
-    question without this argument; the test suite compares the two.
+    The test suite keeps the auxiliary-variable route (Rabinowitsch), which
+    decides the same question without this argument, and compares the two.
     """
     _check_size(n, shape)
     gb = buchberger(specht_generators(shape, n, limits), "deglex", limits)

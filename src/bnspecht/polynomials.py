@@ -399,13 +399,6 @@ class SparsePolynomial:
     def __repr__(self):
         return f"SparsePolynomial({self.n}, {self})"
 
-    def to_json_terms(self) -> list[dict]:
-        out = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
-            out.append({"coeff": str(coeff), "exps": {str(i + 1): e for i, e in enumerate(exps) if e}})
-        return out
-
 
 # ---------------------------------------------------------------------------
 # named constructions

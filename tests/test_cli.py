@@ -316,7 +316,8 @@ def test_conjecture_rejects_an_empty_order_list(capsys, orders):
 
 
 SPECHT_111 = ("specht", "--shape", "((1,1,1),())", "--n", "3")
-IDEAL_INC = ("ideal-inc", "--a", "((1,1),(2))", "--b", "((),(4))", "--n", "4")
+# under --max-basis 2 the basis outgrows the cap; without it, included: true
+IDEAL_INC = ("ideal-inc", "--a", "((2,2),())", "--b", "((2,1,1),())", "--n", "4")
 BACK_TO_BACK = [
     (SPECHT_111 + ("--max-terms", "1"), EXIT_RESOURCE),
     (SPECHT_111, EXIT_OK),
@@ -408,9 +409,9 @@ def test_resource_exit_code(capsys):
         capsys,
         "ideal-inc",
         "--a",
-        "((1,1),(2))",
+        "((2,2),())",
         "--b",
-        "((),(4))",
+        "((2,1,1),())",
         "--n",
         "4",
         "--max-basis",
