@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, inf, prod
-from operator import itemgetter
+from operator import gt, itemgetter
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits
 from .partitions import (
@@ -46,10 +46,11 @@ from .partitions import (
 from .polynomials import (
     Monomial,
     SparsePolynomial,
-    _alternating_sum,
+    _antisymmetrize,
     _column_expansion,
     _exact_quotient,
     _field_width,
+    _integer,
     _largest_exponent,
     _monomial_codec,
     _normalize,
@@ -533,7 +534,9 @@ def covering_certificate(
     Case 3 moves a boxes between columns of sizes a+b and b (ambient a+2b);
     case 4 moves them one row down, the receiving column gaining a box
     (ambient a+2b+1, first block of size b+1 and an extra square factor).
+    case, a and b are read as integers: a float, even 2.0, raises ValueError.
     """
+    case, a, b = _integer(case, "case"), _integer(a, "a"), _integer(b, "b")
     if case not in (3, 4):
         raise ValueError("only cases 3 and 4 carry certificates")
     if a < 1 or b < 0:
@@ -550,7 +553,8 @@ def covering_certificate(
 
     # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
     # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
-    # union -> image_a + rest, which fixes B2 and so R: build the A term once, then relabel.
+    # union -> image_a + rest, which fixes B2 and so R: build the A term once; the sum of
+    # its signed images is `_shuffle_sum`'s.
     # With j placed last, V^2(A + (j,)) = V^2(A) prod_{i in A} (x_i^2 - x_j^2), so the first
     # B2 variable joins A's column, and case 4's x_i^2 factors are offsets of A's entries:
     # one column expansion. Only the other B2 binomials are multiplied in, each product
@@ -562,16 +566,42 @@ def covering_certificate(
             limits.check("max_terms", len(base.terms) * len(factor.terms))
             base = base * factor
     target = vandermonde_squares(n, union)
-    symmetrized = _alternating_sum(
-        base,
-        union,
-        (image_a + tuple(i for i in union if i not in image_a)
-         for image_a in itertools.combinations(union, a)),
-    )
+    symmetrized = _shuffle_sum(base, (set_a, set_b1))
 
     return CoveringCertificate(
         case, a, b, set_a, set_b1, set_b2, target, symmetrized, symmetrized == target
     )
+
+
+def _shuffle_sum(base: SparsePolynomial, parts) -> SparsePolynomial:
+    """sum of sgn(sigma) * sigma(base) over the shuffles sigma of parts, base alternating in each.
+
+    A shuffle sends the concatenated parts onto their union U, each part onto
+    a subset in increasing order, and fixes every other variable. Every
+    permutation of U is one shuffle after one tau in G = prod_k S_{part k}, and
+    base alternating in each part means sgn(tau) * tau(base) = base, so
+    Alt_U(base) = |G| times the shuffle sum. In `covering_certificate`, base is
+    alternating in A through its V^2(A + first entry of B2) column, since the
+    case-4 x_i^2 offsets and the binomials prod (x_i^2 - x_j^2) are symmetric
+    in A, and alternating in B1 through its V^2(B1) column.
+
+    The terms of an alternating base come in G-orbits of |G| terms, each
+    orbit holding one term strictly decreasing on every part, and a term with
+    a repeated exponent in a part has coefficient 0. Alt_U sends each term of
+    an orbit to sgn(tau) times Alt_U of its decreasing term, so Alt_U(base) is
+    |G| times Alt_U of the decreasing terms: the shuffle sum is the
+    antisymmetrization of only those. With one nonempty part the only shuffle
+    is the identity, and the sum is base itself.
+    """
+    parts = [part for part in parts if part]
+    if len(parts) < 2:
+        return base
+    terms = base.terms
+    for part in parts:
+        if len(part) > 1:
+            read = itemgetter(*[i - 1 for i in part])
+            terms = {e: c for e, c in terms.items() if all(map(gt, read(e), read(e)[1:]))}
+    return _antisymmetrize(SparsePolynomial(base.n, terms), [sum(parts, ())])
 
 
 # covering steps are witnessed by Groebner reduction up to this n

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
@@ -19,7 +18,7 @@ from .polynomials import (
     Monomial,
     SignedPermutation,
     SparsePolynomial,
-    _alternating_sum,
+    _antisymmetrize,
     _column_expansion,
     act,
 )
@@ -216,12 +215,7 @@ def verify_symmetrization(
 
     blocks = [(base,) + s for base, s in zip(bases, index_sets)]
     limits.check("max_cosets", prod(factorial(len(b)) for b in blocks))
-    # the sign over the concatenated blocks is the product of the block signs
-    total = _alternating_sum(
-        base_poly,
-        sum(blocks, ()),
-        (sum(images, ()) for images in itertools.product(*map(itertools.permutations, blocks))),
-    )
+    total = _antisymmetrize(base_poly, blocks)
 
     factor = prod(factorial(x) for x in sizes)
     odd_blocks = [i for b in blocks[profile.ell :] for i in b]

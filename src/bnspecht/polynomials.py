@@ -206,10 +206,12 @@ class SparsePolynomial:
 
         Only for terms clean by construction: distinct exponent tuples of n
         entries each, with nonzero coefficients that are ints or non-integral
-        Fractions. `_scatter` (distinct +-1 terms gathered to n slots) and
-        `act` (a signed relabelling of clean terms) are its only callers;
-        every other construction can cancel terms or make an integral
-        Fraction and goes through `__init__`.
+        Fractions. `_scatter` (distinct terms gathered to n slots) and `act`
+        (a signed relabelling of clean terms) are its only callers. `_scatter`
+        serves `_column_expansion`, `specht_generators` and `_antisymmetrize`,
+        which normalises each orbit's coefficient before it scatters. Every
+        other construction can cancel terms or make an integral Fraction and
+        goes through `__init__`.
         """
         p = object.__new__(SparsePolynomial)
         p.n, p.terms, p._hash = n, terms, None
@@ -423,30 +425,29 @@ def _permutation_signs(h: int) -> tuple[int, ...]:
     return tuple(_permutation_sign(base, p) for p in permutations(base))
 
 
-def _column_product(columns, step: int, head=()) -> tuple[list[Exponents], list[int]]:
-    """prod over columns of the column Vandermondes, in slot order: lists (exponents, signs).
+def _column_product(columns, head=()) -> tuple[list[Exponents], list[int]]:
+    """prod over columns of the column alternants, in slot order: lists (exponents, signs).
 
     Every term starts with the fixed exponents head, one per slot, and each
-    column then adds h slots. A column is the tuple (o_1, ..., o_h) of its
-    slots' odd offsets and stands for the Vandermonde
-    sum_pi sgn(pi) prod_b y_b^(step*(h-1-pi(b)) + o_b) in its slots y_1..y_h:
-    the permutations of its powers, zipped with `_permutation_signs(h)`. A
-    column of height < 2 appends its offsets to every term. The terms of a
-    column product are the itertools.product of the terms so far with the
-    column's table, so the exponents and signs are built by map and starmap,
-    with no Python loop per term. The prod h! terms are distinct, with int
-    signs +-1.
+    column then adds h slots. A column is a pair (powers, offsets) of h-tuples,
+    the powers strictly decreasing, and stands for the alternant
+    sum_pi sgn(pi) prod_b y_b^(powers[pi(b)] + offsets[b]) in its slots
+    y_1..y_h: the permutations of its powers, zipped with
+    `_permutation_signs(h)`. A column of height < 2 appends its powers plus
+    offsets to every term. The terms of a column product are the
+    itertools.product of the terms so far with the column's table, so the
+    exponents and signs are built by map and starmap, with no Python loop per
+    term. The prod h! terms are distinct, with int signs +-1.
     """
     exps, signs = [tuple(head)], [1]
-    for offsets in columns:
-        h = len(offsets)
+    for powers, offsets in columns:
+        h = len(powers)
         if h < 2:
-            exps = list(map(add, exps, repeat(offsets)))
+            exps = list(map(add, exps, repeat(tuple(map(add, powers, offsets)))))
             continue
         if offsets.count(offsets[0]) == h:
-            table = permutations([step * (h - 1 - a) + offsets[0] for a in range(h)])
+            table = permutations([power + offsets[0] for power in powers])
         else:  # a partly odd column
-            powers = [step * (h - 1 - a) for a in range(h)]
             table = [tuple(map(add, p, offsets)) for p in permutations(powers)]
         if len(exps) == 1:  # the first column of height >= 2: every sign so far is +1
             exps = list(map(exps[0].__add__, table))
@@ -457,6 +458,11 @@ def _column_product(columns, step: int, head=()) -> tuple[list[Exponents], list[
     return exps, signs
 
 
+def _staircase(h: int, step: int) -> tuple[int, ...]:
+    """The powers step*(h-1), ..., step, 0 of an h-variable Vandermonde column in x^step."""
+    return tuple(range(step * (h - 1), -1, -step))
+
+
 def _gather(index):
     """The function reading the items at index out of a tuple, as a tuple."""
     if len(index) > 1:
@@ -465,19 +471,22 @@ def _gather(index):
     return lambda e: tuple([e[k] for k in index])
 
 
-def _scatter(n: int, exps, signs, slots) -> SparsePolynomial:
-    """The polynomial sum sign * x^e over the slot-order terms of `_column_product`.
+def _scatter(n: int, exps, coeffs, slots) -> SparsePolynomial:
+    """The polynomial sum c * x^e over distinct slot-order terms, such as `_column_product`'s.
 
     slots[k] is the 1-based variable that slot k fills. A variable that no
     slot names reads the slot named 0, which must hold exponent 0 in every
     term. One gather per term, mapped over exps, puts the slots in variable
     order; every slot but the zero one is read, so distinct terms stay
-    distinct and the dict is clean by construction (see `_of_clean`).
+    distinct, and with clean coefficients (nonzero ints or non-integral
+    Fractions) the dict is clean by construction (see `_of_clean`).
     """
+    if slots == list(range(1, n + 1)):  # the slots are in variable order already
+        return SparsePolynomial._of_clean(n, dict(zip(exps, coeffs)))
     position = {v: k for k, v in enumerate(slots)}
     zero = position.get(0)
     gather = _gather([position.get(i, zero) for i in range(1, n + 1)])
-    return SparsePolynomial._of_clean(n, dict(zip(map(gather, exps), signs)))
+    return SparsePolynomial._of_clean(n, dict(zip(map(gather, exps), coeffs)))
 
 
 def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
@@ -491,8 +500,9 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     them in slot order, the column entries one slot each, and `_scatter` moves
     each term's slots to its variables. An index repeated in odd is a
     multiplicity: odd = (1, 1) multiplies by x_1^2. An odd variable in a
-    column is an offset of its slot; the others, and a zero slot for any
-    variable in neither, lead every term.
+    column is an offset of its slot; the others, the entries of columns of
+    height 1 (each a factor 1) and a zero slot for any variable in neither
+    lead every term.
     """
     columns = [tuple([_check_index(n, i) for i in col]) for col in columns]
     flat = [i for col in columns for i in col]
@@ -503,13 +513,15 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     for k in odd:
         k = _check_index(n, k)
         extra[k] = extra.get(k, 0) + 1
-    slots = [k for k in extra if k not in in_columns]
-    head = [extra[k] for k in slots]
+    slots = [k for k in extra if k not in in_columns] + [c[0] for c in columns if len(c) == 1]
+    head = [extra.get(k, 0) for k in slots]
+    columns = [c for c in columns if len(c) > 1]
+    flat = [i for c in columns for i in c]
     if len(slots) + len(flat) < n:
         slots.append(0)
         head.append(0)
-    offsets = [tuple([extra.get(i, 0) for i in col]) for col in columns]
-    return _scatter(n, *_column_product(offsets, step, head), slots + flat)
+    columns = [(_staircase(len(c), step), tuple([extra.get(i, 0) for i in c])) for c in columns]
+    return _scatter(n, *_column_product(columns, head), slots + flat)
 
 
 def _integer(value, what: str) -> int:
@@ -613,23 +625,48 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
     return SparsePolynomial._of_clean(p.n, terms)
 
 
-def _alternating_sum(p: SparsePolynomial, domain, images) -> SparsePolynomial:
-    """sum over images of sgn(domain -> image) * sigma(p).
+def _antisymmetrize(p: SparsePolynomial, blocks) -> SparsePolynomial:
+    """sum over sigma in S_B1 x ... x S_Bk of sgn(sigma) * sigma(p), for disjoint blocks.
 
-    sigma sends domain[k] to image[k] for every k and fixes every other
-    variable; each image must be a rearrangement of domain.
+    sigma permutes the variables of each block among themselves and fixes
+    every other variable. The sum is read off the orbits of p's terms (the
+    alternant decomposition; Macdonald, Symmetric Functions, I.3): one pass
+    reads each term's exponents in every block, largest first. A term with a
+    repeated exponent in a block is fixed by a transposition of sign -1, so
+    its orbit cancels; any other term is tau(x^key) for its sorted key and the
+    sorting permutation tau, and adds sgn(tau) * coeff to that key. Each
+    nonzero key then stands for the product of its blocks' alternants, times
+    its exponents outside the blocks, which `_column_product` lists. Distinct
+    keys have disjoint orbits, so no output term is summed twice, and each
+    key's coefficient is normalised once.
     """
-    terms: dict[Exponents, Coefficient] = {}
-    for image in images:
-        source = list(range(p.n))  # sigma(x^e) has exponent e[source[k]] at position k
-        for src, dst in zip(domain, image):
-            source[dst - 1] = src - 1
-        gather = _gather(source)
-        sign = _permutation_sign(domain, image)
-        for exps, coeff in p.terms.items():
-            key = gather(exps)
-            terms[key] = terms.get(key, 0) + sign * coeff
-    return SparsePolynomial(p.n, terms)
+    blocks = [block for block in blocks if len(block) > 1]
+    inside = {i for block in blocks for i in block}
+    outside = [i for i in range(1, p.n + 1) if i not in inside]
+    rest = _gather([i - 1 for i in outside])
+    reads = [_gather([i - 1 for i in block]) for block in blocks]
+    sums: dict[tuple[Exponents, ...], Coefficient] = {}
+    for exps, coeff in p.terms.items():
+        key = (rest(exps),)
+        for read in reads:
+            part = read(exps)
+            if len(set(part)) < len(part):
+                break
+            ordered = tuple(sorted(part, reverse=True))
+            if ordered != part:
+                coeff = _permutation_sign(ordered, part) * coeff
+            key += (ordered,)
+        else:
+            sums[key] = sums.get(key, 0) + coeff
+    exps, coeffs = [], []
+    for (head, *powers), coeff in sums.items():
+        if type(coeff) is not int:
+            coeff = _normalize(coeff)
+        if coeff:
+            terms, signs = _column_product([(lam, (0,) * len(lam)) for lam in powers], head)
+            exps += terms
+            coeffs += signs if coeff == 1 else [coeff * sign for sign in signs]
+    return _scatter(p.n, exps, coeffs, outside + [i for block in blocks for i in block])
 
 
 def act_point(g: SignedPermutation, z) -> tuple[Coefficient, ...]:

@@ -11,7 +11,7 @@ from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
 from .partitions import Bipartition, Partition, _check_size, conjugate, glue
-from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter
+from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter, _staircase
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,9 @@ def specht_generators(
         ((tuple(sorted(chosen[:split])), tuple(sorted(chosen[split:]))), chosen)
         for chosen in _column_assignments(heights, split, n, limits)
     )
-    odd = [(0,) * h for h in heights[:split]] + [(1,) * h for h in heights[split:]]
-    exps, signs = _column_product(odd, 2)
+    columns = [(_staircase(h, 2), (0,) * h) for h in heights[:split]]
+    columns += [(_staircase(h, 2), (1,) * h) for h in heights[split:]]
+    exps, signs = _column_product(columns)
     return [_scatter(n, exps, signs, [e for col in chosen for e in col]) for _, chosen in keys]
 
 

@@ -55,6 +55,7 @@ from bnspecht import cli, groebner, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
+    _shuffle_sum,
     covering_certificate,
     ideal_contains,
     inclusion_by_certificates,
@@ -79,8 +80,9 @@ from bnspecht.polynomials import (
     ORDER_TAGS,
     SignedPermutation,
     SparsePolynomial,
-    _alternating_sum,
+    _antisymmetrize,
     _column_expansion,
+    _gather,
     _permutation_sign,
     act,
     parse_polynomial,
@@ -152,6 +154,41 @@ def explicit_alternating_sum(p, domain, images):
         g = SignedPermutation.from_permutation(perm)
         total = total + act(g, p).scale(_permutation_sign(domain, image))
     return total
+
+
+def images_alternating_sum(p, domain, images):
+    """sum over images of sgn(domain -> image) * sigma(p), one relabelled copy of p per image.
+
+    sigma sends domain[k] to image[k] for every k and fixes every other
+    variable; each image must be a rearrangement of domain. The reference for
+    `_antisymmetrize`, and for the image lists that are not a whole group.
+    """
+    terms = {}
+    for image in images:
+        source = list(range(p.n))  # sigma(x^e) has exponent e[source[k]] at position k
+        for src, dst in zip(domain, image):
+            source[dst - 1] = src - 1
+        gather = _gather(source)
+        sign = _permutation_sign(domain, image)
+        for exps, coeff in p.terms.items():
+            key = gather(exps)
+            terms[key] = terms.get(key, 0) + sign * coeff
+    return SparsePolynomial(p.n, terms)
+
+
+def images_shuffle_sum(base, parts):
+    """The covering certificate's coset sum, image by image: the reference for `_shuffle_sum`.
+
+    One image per choice of set_a's positions in the union, set_a and set_b1
+    each keeping its order.
+    """
+    set_a, set_b1 = parts
+    union = set_a + set_b1
+    images = (
+        image_a + tuple(i for i in union if i not in image_a)
+        for image_a in itertools.combinations(union, len(set_a))
+    )
+    return images_alternating_sum(base, union, images)
 
 
 def walked_orbit(p):
@@ -669,11 +706,11 @@ def test_certificate_products_are_capped_before_building():
 def test_certificates_under_the_product_cap_verify(case, a, b, peak, monkeypatch):
     sizes = []
 
-    def alternating_sum(base, *rest):
+    def shuffle_sum(base, parts):
         sizes.append(len(base.terms))  # the last and largest product
-        return _alternating_sum(base, *rest)
+        return _shuffle_sum(base, parts)
 
-    monkeypatch.setattr(groebner, "_alternating_sum", alternating_sum)
+    monkeypatch.setattr(groebner, "_shuffle_sum", shuffle_sum)
     assert covering_certificate(case, a, b).verified
     assert sizes == [peak]
 
@@ -706,20 +743,41 @@ class CosetTermCaptured(Exception):
     pass
 
 
-@pytest.mark.parametrize("case,a,b", BENCH_COVER_CASES + [(3, 2, 5), (3, 3, 4)])
+@pytest.mark.parametrize(
+    "case,a,b", BENCH_COVER_CASES + [(3, 8, 0), (4, 7, 0)] + [(3, 2, 5), (3, 3, 4)]
+)
 def test_coset_term_matches_the_product_route(case, a, b, monkeypatch):
-    """The polynomial the certificate symmetrizes, against the binomial products it replaces:
-    every certificate of the poly-construct benchmark, and the two at the product cap's peaks."""
+    """The polynomial the certificate symmetrizes, against the binomial products it replaces,
+    and its shuffle sum against one relabelled copy per coset: every certificate of ambient
+    n <= 8, and the two at the product cap's peaks. At the peaks the copies take seconds, so
+    their sums are checked against the target (`test_certificates_under_the_product_cap_verify`).
+    """
     captured = []
 
-    def alternating_sum(base, *rest):
-        captured.append(base)
+    def shuffle_sum(base, parts):
+        captured.append((base, parts))
         raise CosetTermCaptured
 
-    monkeypatch.setattr(groebner, "_alternating_sum", alternating_sum)
+    monkeypatch.setattr(groebner, "_shuffle_sum", shuffle_sum)
     with pytest.raises(CosetTermCaptured):
         covering_certificate(case, a, b)
-    assert captured == [product_coset_term(case, a, b)]
+    [(base, parts)] = captured
+    assert base == product_coset_term(case, a, b)
+    if base.n <= 8:
+        assert _shuffle_sum(base, parts) == images_shuffle_sum(base, parts)
+
+
+def test_shuffle_sum_needs_a_base_alternating_in_each_part():
+    """With two nonempty parts the shuffle sum reads only the terms decreasing on each part,
+    exact only for a base alternating in both; with one, the sum is the base, alternating or not."""
+    p = parse_polynomial("x1^2*x2", 3)
+    assert _shuffle_sum(p, ((1, 2), (3,))) != images_shuffle_sum(p, ((1, 2), (3,)))
+    assert _shuffle_sum(p, ((1, 2), (3,))) == vandermonde(3, (1, 2, 3))
+    assert _shuffle_sum(p, ((1, 2), ())) == images_shuffle_sum(p, ((1, 2), ())) == p
+    alternating = parse_polynomial("x1^2*x2 - x1*x2^2", 3)
+    assert _shuffle_sum(alternating, ((1, 2), (3,))) == images_shuffle_sum(
+        alternating, ((1, 2), (3,))
+    )
 
 
 def test_cli_certify_cover_caps_the_products(capsys):
@@ -754,19 +812,19 @@ def test_alternating_sum_matches_explicit_sum(text, n):
     for k in range(n + 1):
         for domain in itertools.permutations(range(1, n + 1), k):
             images = list(itertools.permutations(domain))
-            assert _alternating_sum(p, domain, images) == explicit_alternating_sum(
-                p, domain, images
-            )
+            assert _antisymmetrize(p, [domain]) == explicit_alternating_sum(p, domain, images)
             half = images[::2]
-            assert _alternating_sum(p, domain, half) == explicit_alternating_sum(p, domain, half)
+            assert images_alternating_sum(p, domain, half) == explicit_alternating_sum(
+                p, domain, half
+            )
 
 
 def test_alternating_sum_in_one_variable():
     p = parse_polynomial("3*x1^2 - x1 + 5", 1)
     for domain in ((), (1,)):
         images = list(itertools.permutations(domain))
-        assert _alternating_sum(p, domain, images) == explicit_alternating_sum(p, domain, images)
-        assert _alternating_sum(p, domain, images) == p
+        assert _antisymmetrize(p, [domain]) == explicit_alternating_sum(p, domain, images)
+        assert _antisymmetrize(p, [domain]) == p
 
 
 @st.composite
@@ -789,17 +847,50 @@ def alternating_cases(draw):
 @example((parse_polynomial("2/3*x1^2*x2 + 5", 2), (1, 2), [(2, 1)]))
 def test_alternating_sum_matches_the_signed_action_sum(case):
     p, domain, images = case
-    total = _alternating_sum(p, domain, images)
+    if sorted(images) == sorted(itertools.permutations(domain)):
+        total = _antisymmetrize(p, [domain])
+    else:
+        total = images_alternating_sum(p, domain, images)
     assert total == explicit_alternating_sum(p, domain, images)
     assert 0 not in total.terms.values()
+
+
+@st.composite
+def antisymmetrize_cases(draw):
+    """(p, blocks): int and a/b coefficients in 1 to 5 variables, 1 to 3 disjoint blocks.
+
+    Exponents run over 0..2, so many terms repeat an exponent inside a block.
+    """
+    n = draw(st.integers(1, 5))
+    coefficients = st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    )
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coefficients, max_size=8))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=4)))
+    return SparsePolynomial(n, terms), [tuple(order[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+
+@settings(deadline=None, max_examples=150)
+@given(antisymmetrize_cases())
+@example((parse_polynomial("x1^2*x2 + x1*x2^2 + x3^2*x3", 3), [(1, 2)]))  # cancels to 0
+@example((parse_polynomial("1/2*x1^2*x2 - 1/2*x1*x2^2 + 1/3*x3", 3), [(1, 2), (3,)]))  # integral
+@example((parse_polynomial("x1^2*x3 + 2/3*x2*x4^2 - x1*x2*x3*x4", 4), [(3, 1), (2, 4)]))
+@example((parse_polynomial("x1*x2^2*x3 - 5*x4^2*x5 + 1/4*x2", 5), [(1, 2), (3,), (4, 5)]))
+def test_antisymmetrize_matches_the_signed_action_sum(case):
+    p, blocks = case
+    images = (sum(parts, ()) for parts in itertools.product(*map(itertools.permutations, blocks)))
+    total = _antisymmetrize(p, blocks)
+    assert total == explicit_alternating_sum(p, sum(blocks, ()), images)
+    assert 0 not in total.terms.values()
+    assert all(type(c) is int for c in total.terms.values() if Fraction(c).denominator == 1)
+    assert_matches_fraction_route(lambda: _antisymmetrize(p, blocks), integral=False)
 
 
 def test_alternating_sum_of_a_monomial_is_a_vandermonde():
     # sum_sigma sgn(sigma) x_sigma(1)^2 x_sigma(2) is V(x1, x2, x3)
     p = parse_polynomial("x1^2*x2", 3)
-    assert _alternating_sum(p, (1, 2, 3), itertools.permutations((1, 2, 3))) == vandermonde(
-        3, (1, 2, 3)
-    )
+    assert _antisymmetrize(p, [(1, 2, 3)]) == vandermonde(3, (1, 2, 3))
 
 
 ORBIT_CASES = [
@@ -1068,10 +1159,10 @@ def test_constructors_match_the_fraction_route(shape, n):
     assert assert_matches_fraction_route(lambda: specht_polynomial_bn(bt))
     assert assert_matches_fraction_route(lambda: specht_generators(shape, n))
     assert_matches_fraction_route(lambda: act(shift, specht_polynomial_bn(bt)))
-    for subset in (images, images[::2]):
-        assert_matches_fraction_route(
-            lambda: _alternating_sum(specht_polynomial_bn(bt), head, subset)
-        )
+    assert_matches_fraction_route(lambda: _antisymmetrize(specht_polynomial_bn(bt), [head]))
+    assert_matches_fraction_route(
+        lambda: images_alternating_sum(specht_polynomial_bn(bt), head, images[::2])
+    )
     assert_matches_fraction_route(lambda: bn_orbit(specht_polynomial_bn(bt)))
 
 

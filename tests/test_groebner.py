@@ -360,6 +360,19 @@ def test_covering_certificate_validation():
         covering_certificate(3, 3, 3, ResourceLimits(max_cosets=5))
 
 
+def test_covering_certificate_reads_integers():
+    """case, a and b are read with operator.index: a float, even 2.0, raises ValueError."""
+    with pytest.raises(ValueError, match="non-integer a 2.0"):
+        covering_certificate(3, 2.0, 1)
+    with pytest.raises(ValueError, match="non-integer case 3.0"):
+        covering_certificate(3.0, 2, 1)
+    with pytest.raises(ValueError, match="non-integer b 0.5"):
+        covering_certificate(3, 1, 0.5)
+    cert = covering_certificate(3, True, 0)
+    assert cert == covering_certificate(3, 1, 0)
+    assert type(cert.a) is int and '"a": 1,' in json.dumps(cert.to_json())
+
+
 def test_certificate_json_shape():
     doc = covering_certificate(3, 1, 1).to_json()
     assert doc["case"] == 3 and doc["A"] == [1] and doc["B1"] == [2] and doc["B2"] == [3]
