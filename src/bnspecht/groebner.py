@@ -61,10 +61,10 @@ from .tableaux import (
     _column_assignments,
     _column_heights,
     _nonvanishing_assignment,
+    _reference_columns,
     _specht_degree,
-    reference_bitableau,
+    _specht_polynomial,
     specht_generators,
-    specht_polynomial_bn,
 )
 from .varieties import Point, _nonempty_classes, orbit_representative
 
@@ -443,9 +443,10 @@ def specht_ideal_contains(
     of b's reference polynomial f, so deciding that one polynomial decides it.
 
     Specht polynomials are homogeneous and each shape's generators share one
-    degree (`tableaux._specht_degree`). If a's degree exceeds d = deg f, every
-    nonzero member of I_a has larger degree, so the answer is False and no
-    generator is built.
+    degree (`tableaux._specht_degree`). Both degrees and f's columns are read
+    from the shapes' column heights, computed once per call as plain tuples.
+    If a's degree exceeds d = deg f, every nonzero member of I_a has larger
+    degree, so the answer is False and no generator is built.
 
     Otherwise it is decided in Q[y], y = x^2, the order tag applied to y. The
     sign flips grade Q[x] by exponent parity, and each generator of a is
@@ -466,21 +467,21 @@ def specht_ideal_contains(
     """
     _check_size(n, a, b)
     _parse_order(order)  # an unknown order fails even where the degrees decide
-    d = _specht_degree(b)
-    if _specht_degree(a) > d:
-        return False
     heights, split = _column_heights(a)
+    heights_b, split_b = _column_heights(b)
+    d, d_a = _specht_degree(heights_b, split_b), _specht_degree(heights, split)
+    if d_a > d:
+        return False
     limits.check("max_terms", prod(map(factorial, heights)))
     assignments = _column_assignments(heights, split, n, limits)
-    ref = reference_bitableau(b, n)
-    columns = ref.first.columns() + ref.second.columns()
-    limits.check("max_terms", prod(factorial(len(col)) for col in columns))
+    limits.check("max_terms", prod(map(factorial, heights_b)))
+    columns = _reference_columns(heights_b)
     d_y = (d - b.right.size) // 2
-    spare = d_y - (_specht_degree(a) - a.right.size) // 2  # the odd count a generator can add
-    e_f = ref.second.entries
+    spare = d_y - (d_a - a.right.size) // 2  # the odd count a generator can add
+    first_size = b.left.size  # e_f, the reference's second tableau, is first_size + 1..n
     gens = []
     for chosen in assignments:
-        odd = [e for col in chosen[split:] for e in col if e not in e_f]
+        odd = [e for col in chosen[split:] for e in col if e <= first_size]
         if len(odd) <= spare:
             gens.append(_column_expansion(n, chosen, 1, odd))
     if not gens:
@@ -681,7 +682,8 @@ def radical_report(
     samples = []
     agreement = True
     for other in enumerate_bipartitions(n):
-        f = specht_polynomial_bn(reference_bitableau(other, n), limits)
+        heights, split = _column_heights(other)
+        f = _specht_polynomial(n, _reference_columns(heights), split, limits)
         in_ideal = reduce(f, gb, limits).is_zero
         in_radical = in_ideal or _radical_witness(other, zeros, limits) is None
         samples.append(
@@ -695,8 +697,9 @@ def _vanishing_representatives(
     shape: Bipartition, n: int, limits: ResourceLimits
 ) -> list[Point]:
     """The class representatives of size n at which every generator of the shape vanishes."""
+    heights, split = _column_heights(shape)
     points = map(orbit_representative, _nonempty_classes(n))
-    return [z for z in points if _nonvanishing_assignment(shape, z, limits) is None]
+    return [z for z in points if _nonvanishing_assignment(heights, split, z, limits) is None]
 
 
 def _radical_witness(
@@ -708,8 +711,9 @@ def _radical_witness(
     With zeros from `_vanishing_representatives(shape, n)`, a certificate that
     other's reference generator lies outside the radical of I_shape.
     """
+    heights, split = _column_heights(other)
     for z in zeros:
-        chosen = _nonvanishing_assignment(other, z, limits)
+        chosen = _nonvanishing_assignment(heights, split, z, limits)
         if chosen is not None:
             return z, chosen
     return None

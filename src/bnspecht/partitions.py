@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce, total_ordering
 from itertools import zip_longest
-from operator import index, or_
+from operator import index, lt, mul, or_
 
-from .errors import SizeMismatchError
+from .errors import DEFAULT_LIMITS, SizeMismatchError
 from .polynomials import _Parser
 
 @total_ordering
@@ -34,9 +34,9 @@ class Partition:
             parts = tuple(map(index, self.parts))
         except TypeError:
             raise ValueError(f"non-integer part in {self.parts}") from None
-        if any(p < 0 for p in parts):
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {self.parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts not non-increasing: {self.parts}")
         if 0 in parts:  # non-increasing, so the zeros trail
             parts = parts[: parts.index(0)]
@@ -70,9 +70,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"
-
-
-EMPTY = Partition()
 
 
 @dataclass(frozen=True)
@@ -166,13 +163,21 @@ def dominates(p: Partition, q: Partition) -> bool:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram."""
-    if not p.parts:
-        return EMPTY
-    cols = [0] * p.parts[0]
-    for part in p.parts:
-        for j in range(part):
-            cols[j] += 1
-    return Partition(tuple(cols))
+    return Partition(_conjugate_parts(p.parts))
+
+
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The column lengths of the diagram with these non-increasing rows, longest first.
+
+    Row h (1-based) ends parts[h-1] - parts[h] columns of length h, so one walk
+    from the last row up lists them; no `Partition` is built.
+    """
+    cols: list[int] = []
+    below = 0
+    for height in range(len(parts), 0, -1):
+        cols += [height] * (parts[height - 1] - below)
+        below = parts[height - 1]
+    return tuple(cols)
 
 
 def glue(p: Partition, q: Partition) -> Partition:
@@ -324,10 +329,29 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return result
 
 
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n), the partition numbers, counted without building a partition.
+
+    After the parts 1..m are allowed, entry s counts the partitions of s into
+    parts of size at most m; each new part size adds those that use it.
+    """
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
-    """All bipartitions of n, built in the vertex order of `Bipartition.sort_key`."""
+    """All bipartitions of n, built in the vertex order of `Bipartition.sort_key`.
+
+    Their count, the sum of p(k) p(n - k), is held to `max_enumeration` before
+    any partition is built.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    counts = _partition_counts(n)
+    DEFAULT_LIMITS.check("max_enumeration", sum(map(mul, counts, reversed(counts))))
     partitions = [enumerate_partitions(k) for k in range(n + 1)]
     return [
         Bipartition(left, right)

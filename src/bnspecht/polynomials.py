@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product, repeat, starmap
 from operator import add, index, itemgetter, mul
 
-from .errors import AmbientMismatchError, ParseError
+from .errors import DEFAULT_LIMITS, AmbientMismatchError, ParseError
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -280,18 +280,27 @@ class SparsePolynomial:
         return SparsePolynomial(self.n, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
-        """Power by repeated squaring; negative and non-integer exponents are rejected."""
+        """Power by repeated squaring; negative and non-integer exponents are rejected.
+
+        Each product's count of term pairs, len(a) * len(b), is held to
+        `max_terms` before the product is formed.
+        """
         k = _integer(k, "exponent")
         if k < 0:
             raise ValueError(f"negative exponent {k}")
+
+        def times(a: SparsePolynomial, b: SparsePolynomial) -> SparsePolynomial:
+            DEFAULT_LIMITS.check("max_terms", len(a.terms) * len(b.terms))
+            return a * b
+
         result = SparsePolynomial.constant(self.n, 1)
         square = self
         while k:
             if k & 1:
-                result = result * square
+                result = times(result, square)
             k >>= 1
             if k:
-                square = square * square
+                square = times(square, square)
         return result
 
     def __eq__(self, other):

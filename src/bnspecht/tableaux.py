@@ -10,7 +10,7 @@ from functools import cache
 from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
-from .partitions import Bipartition, Partition, _check_size, conjugate, glue
+from .partitions import Bipartition, Partition, _check_size, _conjugate_parts, glue
 from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter, _staircase
 
 
@@ -107,8 +107,8 @@ def split_bitableau(t: Tableau, shape: Bipartition, n: int) -> Bitableau:
     if t.shape != glue(shape.left, shape.right):
         raise ValueError(f"tableau shape {t.shape} is not the glueing of {shape}")
     cols = t.columns()
-    left_heights = list(conjugate(shape.left).parts)
-    right_heights = list(conjugate(shape.right).parts)
+    heights, split = _column_heights(shape)
+    left_heights, right_heights = list(heights[:split]), list(heights[split:])
     left_cols, right_cols = [], []
     # within each equal-height group, the left component's columns come first
     for col in cols:
@@ -136,33 +136,51 @@ def specht_polynomial_bn(
     bt: Bitableau, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> SparsePolynomial:
     """Columnwise Vandermondes in the squares, times the second component's variables."""
-    cols = bt.first.columns() + bt.second.columns()
-    limits.check("max_terms", prod(factorial(len(col)) for col in cols))
-    return _column_expansion(bt.n, cols, 2, sorted(bt.second.entries))
+    first = bt.first.columns()
+    return _specht_polynomial(bt.n, first + bt.second.columns(), len(first), limits)
 
 
-def _specht_degree(shape: Bipartition) -> int:
-    """The degree of every Specht polynomial of the shape.
+def _specht_polynomial(
+    n: int, columns: list[tuple[int, ...]], split: int, limits: ResourceLimits
+) -> SparsePolynomial:
+    """The Specht polynomial with these columns, the first `split` the first tableau's.
+
+    Its prod h! terms, h over the column heights, are checked against
+    `limits.max_terms` before any is built.
+    """
+    limits.check("max_terms", prod(factorial(len(col)) for col in columns))
+    return _column_expansion(n, columns, 2, [e for col in columns[split:] for e in col])
+
+
+def _column_heights(shape: Bipartition) -> tuple[tuple[int, ...], int]:
+    """The column heights of the first tableau, then of the second, and the first's count."""
+    left = _conjugate_parts(shape.left.parts)
+    return left + _conjugate_parts(shape.right.parts), len(left)
+
+
+def _specht_degree(heights: tuple[int, ...], split: int) -> int:
+    """The degree of every Specht polynomial whose columns have these heights.
 
     A column of height h is a Vandermonde in h squares, of degree h(h - 1),
-    times its h variables when it belongs to the second tableau.
+    times its h variables when it belongs to the second tableau, one of the
+    columns past the first `split`.
     """
-    left, right = conjugate(shape.left).parts, conjugate(shape.right).parts
-    return sum(h * (h - 1) for h in left) + sum(h * h for h in right)
+    return sum(h * h for h in heights) - sum(heights[:split])
+
+
+def _reference_columns(heights: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The columns of the reference filling: 1, 2, ... down each column in turn."""
+    ends = itertools.accumulate(heights)
+    return [tuple(range(end - h + 1, end + 1)) for h, end in zip(heights, ends)]
 
 
 def reference_bitableau(shape: Bipartition, n: int) -> Bitableau:
     """Fill columns of the first tableau with 1,2,..., then the second's."""
     _check_size(n, shape)
-    counter = itertools.count(1)
-    first = _fill_columns(shape.left, counter)
-    second = _fill_columns(shape.right, counter)
-    return Bitableau(first, second, n)
-
-
-def _fill_columns(p: Partition, counter) -> Tableau:
-    cols = [[next(counter) for _ in range(h)] for h in conjugate(p).parts]
-    return Tableau.from_columns(cols)
+    heights, split = _column_heights(shape)
+    columns = _reference_columns(heights)
+    first, second = columns[:split], columns[split:]
+    return Bitableau(Tableau.from_columns(first), Tableau.from_columns(second), n)
 
 
 def all_bitableaux(shape: Bipartition, n: int):
@@ -175,12 +193,6 @@ def all_bitableaux(shape: Bipartition, n: int):
 def relabel_bitableau(bt: Bitableau, mapping: dict[int, int]) -> Bitableau:
     remap = lambda t: Tableau(tuple(tuple(mapping[e] for e in row) for row in t.rows))
     return Bitableau(remap(bt.first), remap(bt.second), bt.n)
-
-
-def _column_heights(shape: Bipartition) -> tuple[tuple[int, ...], int]:
-    """The column heights of the first tableau, then of the second, and the first's count."""
-    left = conjugate(shape.left).parts
-    return left + conjugate(shape.right).parts, len(left)
 
 
 def _column_assignments(
@@ -257,20 +269,20 @@ def specht_generators(
 
 
 def _nonvanishing_assignment(
-    shape: Bipartition, z, limits: ResourceLimits = DEFAULT_LIMITS
+    heights: tuple[int, ...], split: int, z, limits: ResourceLimits = DEFAULT_LIMITS
 ) -> list[tuple[int, ...]] | None:
     """The first column assignment whose Specht generator is nonzero at z, or None.
 
-    A generator is a product of column Vandermondes in the squares, times the
-    variables of the second tableau's columns, so it is nonzero at z iff the
-    entries of each column have distinct squares and every entry of a
-    second-tableau column is nonzero. The coordinates are squared once and no
-    polynomial is built; the assignments are those of `specht_generators`, and
-    their count is held to `limits.max_enumeration` as there.
+    The generators are those of the shape with these column heights
+    (`_column_heights`), whose sizes sum to len(z). A generator is a product of
+    column Vandermondes in the squares, times the variables of the second
+    tableau's columns, so it is nonzero at z iff the entries of each column
+    have distinct squares and every entry of a second-tableau column is
+    nonzero. The coordinates are squared once and no polynomial is built; the
+    assignments are those of `specht_generators`, and their count is held to
+    `limits.max_enumeration` as there.
     """
     n = len(z)
-    _check_size(n, shape)
-    heights, split = _column_heights(shape)
     squares = (None, *(c * c for c in z))  # squares[e] belongs to entry e
 
     def admits(k: int, col: tuple[int, ...]) -> bool:
@@ -288,7 +300,7 @@ def _nonvanishing_assignment(
 @cache
 def num_standard_tableaux(p: Partition) -> int:
     """Hook-length formula."""
-    conj = conjugate(p).parts
+    conj = _conjugate_parts(p.parts)
     hooks = (part - j + conj[j] - i - 1 for i, part in enumerate(p.parts) for j in range(part))
     return factorial(p.size) // prod(hooks)
 

@@ -27,7 +27,7 @@ from .partitions import (
     hasse_diagram,
 )
 from .polynomials import Coefficient, _normalize
-from .tableaux import _nonvanishing_assignment
+from .tableaux import _column_heights, _nonvanishing_assignment
 
 Point = tuple[Coefficient, ...]
 
@@ -101,7 +101,7 @@ def variety_contains(shape: Bipartition, z, strategy: str = "orbit") -> bool:
     if strategy == "orbit":
         return not bidominates(shape, bn_orbit_type(z))
     if strategy == "evaluate":
-        return _nonvanishing_assignment(shape, z) is None
+        return _nonvanishing_assignment(*_column_heights(shape), z) is None
     raise ValueError(f"unknown strategy {strategy!r}; choose 'orbit' or 'evaluate'")
 
 

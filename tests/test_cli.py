@@ -404,6 +404,26 @@ def test_a_large_generator_enumeration_exits_3_at_once(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # |BP_40| = sum of p(k) p(40 - k), counted before any partition is built
+        (("poset", "--n", "40"), "enumeration size 9035539 exceeds cap 100000"),
+        # squaring's first product over the cap: the 12th power's 455 terms times the 16th's 969
+        (
+            ("gamma", "--poly", "(x1+x2+x3+x4)^60", "--n", "4"),
+            "term count 440895 exceeds cap 200000",
+        ),
+    ],
+)
+def test_a_large_enumeration_or_power_exits_3_at_once(capsys, argv, error):
+    start = time.perf_counter()
+    code, out = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_RESOURCE
+    assert json.loads(out) == {"status": "resource-exceeded", "error": error}
+
+
 def test_resource_exit_code(capsys):
     code, out = invoke(
         capsys,

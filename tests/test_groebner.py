@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from bnspecht.groebner import (
     universal_gb_check,
 )
 from bnspecht.partitions import (
+    Partition,
     bidominates,
     bp,
     conjugate,
@@ -48,6 +50,7 @@ from bnspecht.polynomials import (
 from bnspecht.tableaux import (
     Bitableau,
     Tableau,
+    _column_heights,
     _specht_degree,
     reference_bitableau,
     specht_generators,
@@ -269,7 +272,7 @@ def test_specht_degree_is_the_degree_of_every_generator_term():
     for n in range(8):
         for shape in enumerate_bipartitions(n):
             degrees = {sum(e) for g in specht_generators(shape, n) for e in g.terms}
-            assert degrees == {_specht_degree(shape)}, str(shape)
+            assert degrees == {_specht_degree(*_column_heights(shape))}, str(shape)
 
 
 @pytest.mark.parametrize(
@@ -414,8 +417,8 @@ def specht_ideal_contains_in_x(a, b, n, order="lex", limits=DEFAULT_LIMITS):
     the S-pairs of degree at most d = deg f, for b's reference polynomial f,
     and f is reduced by it.
     """
-    d = _specht_degree(b)
-    if _specht_degree(a) > d:
+    d = _specht_degree(*_column_heights(b))
+    if _specht_degree(*_column_heights(a)) > d:
         return False
     gens = specht_generators(a, n, limits)
     f = specht_polynomial_bn(reference_bitableau(b, n), limits)
@@ -608,6 +611,41 @@ def test_universal_gb_check_n4_finding_survives_pruning():
         if shape != bp((1, 1, 1), (1,)):
             rep = universal_gb_check(shape, 4, ["degrevlex"])
             assert rep.results == (("degrevlex", True),), str(shape)
+
+
+def test_specht_paths_build_no_partition_or_tableau(monkeypatch):
+    """Partitions, tableaux and bitableaux constructed, counted at their validation.
+
+    `specht_ideal_contains` and `specht_generators` read each shape's column
+    heights and reference columns as plain tuples and construct none.
+    `radical_report` constructs only the partitions of its own
+    `enumerate_bipartitions(n)`; the class representatives are cached per n,
+    so they are built before counting starts.
+    """
+    pairs = [(a, b) for a in enumerate_bipartitions(4) for b in enumerate_bipartitions(4)]
+    shapes = [(shape, n) for n in range(6) for shape in enumerate_bipartitions(n)]
+    radical_shapes = enumerate_bipartitions(3)
+    radical_report(radical_shapes[0], 3)
+    built = Counter()
+    for cls in (Partition, Tableau, Bitableau):
+
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    verdicts = [specht_ideal_contains(a, b, 4, "degrevlex") for a, b in pairs]
+    assert (len(verdicts), sum(verdicts)) == (400, sum(bidominates(a, b) for a, b in pairs))
+    for shape, n in shapes:
+        specht_generators(shape, n)
+    assert built == Counter()
+    enumerate_bipartitions(3)
+    own = Counter(built)
+    assert own == Counter({"Partition": 7})  # p(0) + p(1) + p(2) + p(3)
+    for shape in radical_shapes:
+        built.clear()
+        radical_report(shape, 3)
+        assert built == own, str(shape)
 
 
 def test_pair_work_stays_pinned(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspecht.cli import build_parser
-from bnspecht.errors import ParseError, SizeMismatchError
+from bnspecht.errors import ParseError, ResourceLimitExceeded, SizeMismatchError
 from bnspecht.groebner import (
     inclusion_by_certificates,
     radical_report,
@@ -16,6 +16,7 @@ from bnspecht.invariants import rank_bound
 from bnspecht.partitions import (
     Bipartition,
     Partition,
+    _partition_counts,
     bidominates,
     bipartition_coverings_below,
     bp,
@@ -59,6 +60,30 @@ def test_partition_canonical_form():
 def test_partition_rejects_non_integral_parts(parts):
     with pytest.raises(ValueError, match="non-integer part"):
         Partition(parts)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((2, 1.5), "non-integer part in (2, 1.5)"),
+        ((-1, 1.5), "non-integer part in (-1, 1.5)"),  # before the negative part
+        ((-1, 2), "negative part in (-1, 2)"),  # before the increase
+        ((1, 0, -1), "negative part in (1, 0, -1)"),
+        ((1, 2), "parts not non-increasing: (1, 2)"),
+        ((2, 0, 1), "parts not non-increasing: (2, 0, 1)"),
+    ],
+)
+def test_partition_messages_and_their_precedence(parts, message):
+    with pytest.raises(ValueError) as caught:
+        Partition(parts)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "parts, canonical", [((), ()), ((0,), ()), ((0, 0), ()), ((3, 3, 0), (3, 3)), ((True, 0), (1,))]
+)
+def test_partition_strips_trailing_zeros(parts, canonical):
+    assert Partition(parts).parts == canonical
 
 
 def test_partition_indexing_pads_with_zeros():
@@ -244,6 +269,24 @@ def test_enumerate_bipartitions_counts():
     assert len(enumerate_bipartitions(3)) == 10
     assert len(enumerate_bipartitions(4)) == 20
     assert len(enumerate_bipartitions(6)) == 65
+
+
+def test_partition_counts_match_the_enumeration():
+    assert _partition_counts(15) == [len(enumerate_partitions(k)) for k in range(16)]
+    assert _partition_counts(0) == [1]
+
+
+def test_bipartition_enumeration_is_capped_before_any_partition_is_built(monkeypatch):
+    """|BP_24| = 94,235 is within `max_enumeration`; |BP_25| = 129,512 is refused at once."""
+    assert len(enumerate_bipartitions(24)) == 94235
+    built = []
+    check = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__", lambda self: built.append(check(self)))
+    with pytest.raises(ResourceLimitExceeded, match="^enumeration size 129512 exceeds cap 100000$"):
+        enumerate_bipartitions(25)
+    assert built == []
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        enumerate_bipartitions(-25)
 
 
 def test_hasse_diagram_structure():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bnspecht.errors import AmbientMismatchError, ParseError
+from bnspecht.errors import AmbientMismatchError, ParseError, ResourceLimitExceeded
 from bnspecht.polynomials import (
     Monomial,
     ORDER_TAGS,
@@ -215,6 +215,22 @@ def test_power_by_squaring_handles_huge_exponents():
     for k in range(8):
         assert q**k == expected
         expected = expected * q
+
+
+def test_power_matches_repeated_multiplication():
+    q = parse_polynomial("x1 + x2", 2)
+    expected = SparsePolynomial.constant(2, 1)
+    for _ in range(10):
+        expected = expected * q
+    assert q**10 == expected == parse_polynomial("(x1+x2)^10", 2)
+
+
+def test_power_checks_each_products_term_pairs_before_forming_it():
+    # squaring (x1+x2+x3+x4)^60 first multiplies the 12th power's 455 terms by the 16th's 969
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match="^term count 440895 exceeds cap 200000$"):
+        parse_polynomial("(x1+x2+x3+x4)^60", 4)
+    assert time.perf_counter() - start < 1
 
 
 def test_negative_power_is_rejected():

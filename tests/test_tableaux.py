@@ -9,11 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bnspecht.errors import ResourceLimitExceeded, ResourceLimits
-from bnspecht.partitions import Partition, bp, enumerate_bipartitions, glue
+from bnspecht.partitions import (
+    Partition,
+    _conjugate_parts,
+    bp,
+    enumerate_bipartitions,
+    enumerate_partitions,
+    glue,
+)
 from bnspecht.polynomials import SparsePolynomial, parse_polynomial
 from bnspecht.tableaux import (
     Bitableau,
     Tableau,
+    _column_heights,
+    _reference_columns,
+    _specht_degree,
     all_bitableaux,
     bitableau_from_json,
     enumerate_standard_bitableaux,
@@ -138,6 +148,64 @@ def test_reference_bitableau_fills_columns_in_order():
     assert bt.second.rows == ((4,), (5,))
     with pytest.raises(ValueError):
         reference_bitableau(bp((2,), ()), 3)
+
+
+# Reference routes. The column layout was once read from validated objects:
+# `partitions.conjugate` counted the boxes of each column in a double loop and
+# built a `Partition`, and `reference_bitableau` filled a `Tableau` per
+# component from a shared counter. The tests keep both as independent checks.
+
+
+def reference_conjugate(parts):
+    """The conjugate's parts, one box at a time: column j counts the rows longer than j."""
+    cols = [0] * (parts[0] if parts else 0)
+    for part in parts:
+        for j in range(part):
+            cols[j] += 1
+    return tuple(cols)
+
+
+def reference_fill_columns(parts, counter):
+    """The tableau whose columns, of the conjugate's heights, take counter's next values."""
+    cols = [[next(counter) for _ in range(h)] for h in reference_conjugate(parts)]
+    return Tableau.from_columns(cols)
+
+
+def test_conjugate_parts_match_the_box_count_route():
+    for n in range(16):
+        for p in enumerate_partitions(n):
+            assert _conjugate_parts(p.parts) == reference_conjugate(p.parts), str(p)
+
+
+def test_column_layout_matches_the_reference_routes():
+    """Heights, degree and reference columns of every shape with n <= 10, against the old routes.
+
+    The degree is that of a column Vandermonde in squares, h(h - 1), plus h for
+    a column of the second tableau.
+    """
+    for n in range(11):
+        for shape in enumerate_bipartitions(n):
+            left = reference_conjugate(shape.left.parts)
+            right = reference_conjugate(shape.right.parts)
+            heights, split = _column_heights(shape)
+            assert (heights, split) == (left + right, len(left)), str(shape)
+            degree = sum(h * (h - 1) for h in left) + sum(h * h for h in right)
+            assert _specht_degree(heights, split) == degree, str(shape)
+            counter = itertools.count(1)
+            first = reference_fill_columns(shape.left.parts, counter)
+            second = reference_fill_columns(shape.right.parts, counter)
+            columns = first.columns() + second.columns()
+            assert _reference_columns(heights) == columns, str(shape)
+            bt = reference_bitableau(shape, n)
+            assert bt == Bitableau(first, second, n), str(shape)
+            assert bt.first.columns() + bt.second.columns() == columns, str(shape)
+
+
+def test_specht_degree_is_the_reference_polynomials_degree():
+    for n in range(8):
+        for shape in enumerate_bipartitions(n):
+            degree = specht_polynomial_bn(reference_bitableau(shape, n)).degree
+            assert _specht_degree(*_column_heights(shape)) == degree, str(shape)
 
 
 def test_all_bitableaux_count():
