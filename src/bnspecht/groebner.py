@@ -19,17 +19,17 @@ clear, the lowest field of m below lead's borrows and sets its guard bit.
 Inputs are packed on entry and only the outputs are unpacked, so every
 public value is keyed by exponent tuples.
 
-The field width starts from the largest input exponent with headroom. A
-product of two monomials whose guard bits are clear cannot carry into the
-next field, only set its own guard bit, and every monomial is popped from the
-work heap before it can reach an output or a further product. So each one is
-guard-checked when it is popped, and a set guard bit reruns the whole call at
-double the width: results stay exact at any exponent.
+The field width starts from the largest input exponent with headroom. Every
+exponent is a non-negative int (construction checks it), so the guard bits
+of every input are clear. A product of two monomials whose guard bits are
+clear cannot carry into the next field, only set its own guard bit, and every
+monomial is popped from the work heap before it can reach an output or a
+further product. So each one is guard-checked when it is popped, and a set
+guard bit reruns the whole call at double the width: exact at any exponent.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -44,7 +44,6 @@ from .partitions import (
     hasse_diagram,
 )
 from .polynomials import (
-    Monomial,
     SparsePolynomial,
     _antisymmetrize,
     _column_expansion,
@@ -91,8 +90,7 @@ class GroebnerBasis:
 
     @cached_property
     def _largest_generator_exponent(self) -> int:
-        """The generators' largest exponent, for `reduce`'s field width; a negative one raises."""
-        _reject_negative_exponents(self.generators)
+        """The generators' largest exponent, for `reduce`'s field width, read once per basis."""
         return _largest_exponent(self.generators)
 
 
@@ -113,7 +111,7 @@ def reduce(
         if divisors is None:
             divisors = gb._packed_divisors[codec.width] = _pack_divisors(gb.generators, codec)
         terms = _normal_form(codec.pack_terms(p.terms), divisors, codec, limits)
-        return SparsePolynomial(p.n, codec.unpack_terms(terms.items()))
+        return codec.unpack_polynomial(terms.items())
 
     largest = max(_largest_exponent((p,)), gb._largest_generator_exponent)
     return _packed_run(gb.n, gb.order, (p, *gb.generators), remainder, largest)
@@ -137,9 +135,7 @@ def _packed_run(n: int, order: str, inputs, run, largest_exponent: int | None = 
 
     The first width holds the largest exponent of the input polynomials
     (largest_exponent, when the caller knows it) with headroom; each overflow
-    reruns the whole call at double the width. A negative exponent sets a
-    guard bit at every width, so an overflow first looks for one in the
-    inputs and raises ValueError if it finds one.
+    reruns the whole call at double the width.
     """
     if largest_exponent is None:
         largest_exponent = _largest_exponent(inputs)
@@ -148,18 +144,7 @@ def _packed_run(n: int, order: str, inputs, run, largest_exponent: int | None = 
         try:
             return run(_monomial_codec(n, order, width))
         except _FieldOverflow:
-            _reject_negative_exponents(inputs)
             width *= 2
-
-
-def _reject_negative_exponents(polys) -> None:
-    """Raise ValueError naming the first term of polys with a negative exponent.
-
-    `reduce` checks its basis here, as it never pops a divisor's lead to guard-check it.
-    """
-    for exps in itertools.chain.from_iterable(p.terms for p in polys):
-        if min(exps, default=0) < 0:
-            raise ValueError(f"negative exponent in {Monomial(exps)}") from None
 
 
 def _divisor(terms: dict, sign: int) -> tuple:
@@ -367,7 +352,7 @@ def buchberger(
 
     def reduced_basis(codec):
         reduced = _reduce_basis(list(_grown_basis(gens, codec, limits)), codec, limits)
-        return tuple(SparsePolynomial(n, codec.unpack_terms(_divisor_terms(d))) for d in reduced)
+        return tuple(codec.unpack_polynomial(_divisor_terms(d)) for d in reduced)
 
     return GroebnerBasis(_packed_run(n, order, gens, reduced_basis), order, n)
 

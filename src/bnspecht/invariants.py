@@ -57,8 +57,6 @@ class MonomialProfile:
 
 def monomial_profile(m: Monomial) -> MonomialProfile:
     """Split the exponents of m into their even and odd parts."""
-    if min(m.exps, default=0) < 0:
-        raise ValueError(f"negative exponent in {m}")
     i1, i2, k, r = [], [], [], []
     for var, exp in sorted(m.exponents.items()):
         if exp % 2 == 0:

@@ -39,6 +39,11 @@ def _normalize(value) -> Coefficient:
     return exact.numerator if exact.denominator == 1 else exact
 
 
+def _clean(terms: dict) -> dict:
+    """terms of int or Fraction coefficients without the zero ones, each normalised."""
+    return {e: c if type(c) is int else _normalize(c) for e, c in terms.items() if c}
+
+
 def _exact_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
     """a / b exactly: a // b when b divides a, else a normalised Fraction.
 
@@ -54,6 +59,9 @@ class Monomial:
     """A power product; zero exponents are allowed in storage but not printed."""
 
     exps: Exponents
+
+    def __post_init__(self):
+        object.__setattr__(self, "exps", _exponents(self.exps))
 
     @property
     def n(self) -> int:
@@ -75,6 +83,14 @@ class Monomial:
 
     def __str__(self):
         return _monomial_text(self.exps)
+
+
+def _exponents(exps) -> Exponents:
+    """exps as a tuple of ints read as `_integer` reads them; ValueError if one is negative."""
+    exps = tuple([_integer(e, "exponent") for e in exps])
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {_monomial_text(exps)}")
+    return exps
 
 
 def _monomial_text(exps: Exponents) -> str:
@@ -152,9 +168,10 @@ class _MonomialCodec:
         pack = self.pack
         return {pack(e): c for e, c in terms.items()}
 
-    def unpack_terms(self, terms) -> dict:
-        unpack = self.unpack
-        return {unpack(u): c for u, c in terms}
+    def unpack_polynomial(self, terms) -> "SparsePolynomial":
+        """The polynomial of distinct packed (monomial, coefficient) pairs; see `_of_clean`."""
+        terms = _clean({self.unpack(u): c for u, c in terms})
+        return SparsePolynomial._of_clean(len(self._shifts), terms)
 
     def lcm(self, a: int, b: int) -> int:
         """The per-field max of two F: a field of (a | guard) - b keeps its guard bit iff a >= b."""
@@ -188,30 +205,25 @@ class SparsePolynomial:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: dict[Exponents, Coefficient] | None = None):
-        self.n = n
-        clean = {}
+        checked: dict[Exponents, Coefficient] = {}  # every key, zero coefficient or not
         for exps, coeff in (terms or {}).items():
-            if type(coeff) is not int:
-                coeff = _normalize(coeff)
-            if coeff:
-                if len(exps) != n:
-                    raise AmbientMismatchError(f"exponent tuple {exps} does not match n={n}")
-                clean[exps] = coeff
-        self.terms = clean
-        self._hash = None
+            if len(exps) != n:
+                raise AmbientMismatchError(f"exponent tuple {exps} does not match n={n}")
+            exps = _exponents(exps)  # an __index__ key can read as another key's ints
+            checked[exps] = checked.get(exps, 0) + _normalize(coeff)
+        self.n, self.terms, self._hash = n, _clean(checked), None
 
     @staticmethod
     def _of_clean(n: int, terms: dict[Exponents, Coefficient]) -> "SparsePolynomial":
         """The polynomial owning terms, which is neither copied nor checked.
 
-        Only for terms clean by construction: distinct exponent tuples of n
-        entries each, with nonzero coefficients that are ints or non-integral
-        Fractions. `_scatter` (distinct terms gathered to n slots) and `act`
-        (a signed relabelling of clean terms) are its only callers. `_scatter`
-        serves `_column_expansion`, `specht_generators` and `_antisymmetrize`,
-        which normalises each orbit's coefficient before it scatters. Every
-        other construction can cancel terms or make an integral Fraction and
-        goes through `__init__`.
+        Only for terms clean by construction: distinct tuples of n non-negative
+        ints, with nonzero int or non-integral Fraction coefficients. Its
+        callers build keys from valid keys, so none is checked: `__add__`,
+        `__mul__`, `scale` and `_MonomialCodec.unpack_polynomial` after
+        `_clean`, `__neg__`, `_scatter` (for `_column_expansion`,
+        `specht_generators` and `_antisymmetrize`) and `act`. Every other
+        construction goes through `__init__`.
         """
         p = object.__new__(SparsePolynomial)
         p.n, p.terms, p._hash = n, terms, None
@@ -249,10 +261,10 @@ class SparsePolynomial:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
-        return SparsePolynomial(self.n, terms)
+        return SparsePolynomial._of_clean(self.n, _clean(terms))
 
     def __neg__(self):
-        return SparsePolynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return SparsePolynomial._of_clean(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SparsePolynomial):
@@ -271,13 +283,14 @@ class SparsePolynomial:
             for eb, cb in b.items():
                 exps = tuple(map(add, ea, eb))
                 terms[exps] = terms.get(exps, 0) + ca * cb
-        return SparsePolynomial(self.n, terms)
+        return SparsePolynomial._of_clean(self.n, _clean(terms))
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "SparsePolynomial":
         value = _normalize(value)
-        return SparsePolynomial(self.n, {e: c * value for e, c in self.terms.items()})
+        terms = {e: c * value for e, c in self.terms.items()}
+        return SparsePolynomial._of_clean(self.n, _clean(terms))
 
     def __pow__(self, k: int):
         """Power by repeated squaring; negative and non-integer exponents are rejected.
@@ -668,13 +681,10 @@ def _antisymmetrize(p: SparsePolynomial, blocks) -> SparsePolynomial:
         else:
             sums[key] = sums.get(key, 0) + coeff
     exps, coeffs = [], []
-    for (head, *powers), coeff in sums.items():
-        if type(coeff) is not int:
-            coeff = _normalize(coeff)
-        if coeff:
-            terms, signs = _column_product([(lam, (0,) * len(lam)) for lam in powers], head)
-            exps += terms
-            coeffs += signs if coeff == 1 else [coeff * sign for sign in signs]
+    for (head, *powers), coeff in _clean(sums).items():
+        terms, signs = _column_product([(lam, (0,) * len(lam)) for lam in powers], head)
+        exps += terms
+        coeffs += signs if coeff == 1 else [coeff * sign for sign in signs]
     return _scatter(p.n, exps, coeffs, outside + [i for block in blocks for i in block])
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnspecht import groebner
+from bnspecht import groebner, polynomials
 from bnspecht.errors import (
     DEFAULT_LIMITS,
     AmbientMismatchError,
@@ -31,6 +32,7 @@ from bnspecht.groebner import (
     specht_ideal_contains,
     universal_gb_check,
 )
+from bnspecht.invariants import bn_orbit
 from bnspecht.partitions import (
     Partition,
     bidominates,
@@ -211,21 +213,15 @@ def test_term_cap_holds_inside_the_inter_reduction():
 
 @pytest.mark.parametrize("order", ORDER_TAGS)
 def test_a_negative_exponent_is_rejected_not_widened_forever(order):
-    """A negative exponent sets a guard bit at every field width: ValueError, not a hang."""
-    inverse = SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})
+    """A negative exponent would set a guard bit at every field width; construction rejects it.
+
+    So no Groebner input, a hand-built basis included, can hold one.
+    """
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-        buchberger([inverse, p("x1*x2 - 1", 2)], order)
+        SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-        reduce(inverse, buchberger([p("x1*x2 - 1", 2)], order))
-    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-        radical_membership(inverse, [p("x1*x2 - 1", 2)])
-    # a hand-built basis: no divisor's lead is ever popped, so no guard bit reports it
-    hand_built = GroebnerBasis((SparsePolynomial(2, {(-1, 0): 1}),), order, 2)
-    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-        reduce(p("x2", 2), hand_built)
-    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-        ideal_contains(hand_built, [p("x2", 2)])
+        GroebnerBasis((SparsePolynomial(2, {(-1, 0): 1}),), order, 2)
     assert time.perf_counter() - start < 1
 
 
@@ -685,6 +681,41 @@ def test_pair_work_stays_pinned(monkeypatch):
         upper, lower = diagram.vertices[i], diagram.vertices[j]
         assert specht_ideal_contains(upper, lower, 5, "degrevlex")
     assert calls == {"_s_polynomial": 1062, "_normal_form": 2468}
+
+
+def test_products_and_kernel_outputs_skip_the_exponent_check(monkeypatch):
+    """Only a recipe's own constructions check exponents: products and kernel outputs do not.
+
+    Arithmetic and the Groebner kernel build from valid keys through
+    `SparsePolynomial._of_clean`, so `polynomials._exponents` runs once per
+    exponent tuple that a recipe hands to `__init__` itself. Covering
+    certificate (3, 3, 2) hands on 26: its binomials x_i^2 - x_7^2 for i in
+    A = (1, 2, 3) are two one-term `variable` calls each, and `_shuffle_sum`
+    keeps the 20 terms of the A term that decrease on A and on B1. The
+    products, the alternating sum and the target check none, nor do the
+    n = 4 Specht bases, the orbit of x2*x3*(x1^2 - 1), its basis and the
+    reductions against it.
+    """
+    callers = Counter()
+    check = polynomials._exponents
+
+    def counted(exps):
+        callers[sys._getframe(2).f_code.co_name] += 1  # the caller of `__init__`
+        return check(exps)
+
+    P = p("x2*x3*(x1^2 - 1)", 4)
+    label_gens = specht_generators(bp((1, 1), (2,)), 4)
+    outside = p("x1^3*x2 + x4", 4)
+    monkeypatch.setattr(polynomials, "_exponents", counted)
+    assert covering_certificate(3, 3, 2).verified
+    assert callers == {"variable": 6, "_shuffle_sum": 20}
+    callers.clear()
+    for shape in enumerate_bipartitions(4):
+        specht_ideal_basis(shape, 4, "lex")
+    gb = buchberger(bn_orbit(P), "degrevlex")
+    assert ideal_contains(gb, label_gens)
+    assert reduce(outside, gb) == reduce(outside - P * outside, gb) != 0
+    assert callers == {}
 
 
 N5_FINDINGS = [

@@ -60,18 +60,11 @@ def test_gamma_examples():
 
 
 def test_profiles_reject_a_negative_exponent():
-    m = Monomial((-1,))
-    x1 = parse_polynomial("x1", 1)
-    for call in (
-        lambda: monomial_profile(m),
-        lambda: gamma(m, 1),
-        lambda: gamma_star(m, 1),
-        lambda: detect_specht_subideal(SparsePolynomial(1, {(-1,): 1}), 1),
-        lambda: verify_symmetrization(x1, m, []),
-    ):
-        with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
-            call()
-    assert str(m) == "x1^-1"  # a Monomial itself still holds a negative exponent
+    """No monomial or polynomial that a profile reads can hold a negative exponent."""
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        Monomial((-1,))
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        SparsePolynomial(1, {(-1,): 1})
 
 
 def test_gamma_rejects_overweight_monomials():

@@ -198,6 +198,53 @@ def test_fraction_scan_finds_an_added_construction():
     assert fraction_constructions(sources) == [f"varieties.py:{line}"]
 
 
+# the callers that `SparsePolynomial._of_clean`'s docstring names: each builds keys from valid keys
+UNCHECKED_BUILDERS = (
+    "__add__", "__neg__", "__mul__", "scale", "unpack_polynomial", "_scatter", "act"
+)
+
+
+def unchecked_constructions(sources: dict[str, str]) -> list[str]:
+    """Each `_of_clean(...)` call outside the `polynomials` functions in UNCHECKED_BUILDERS.
+
+    `_of_clean` checks no exponent, so every other construction goes through
+    `SparsePolynomial.__init__`, which does.
+    """
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners = [
+            node
+            for node in ast.walk(tree)
+            if module == "polynomials.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in UNCHECKED_BUILDERS
+        ]
+        allowed = {id(node) for owner in owners for node in ast.walk(owner)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_of_clean":
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_the_named_builders_skip_the_exponent_check():
+    assert unchecked_constructions({path.name: path.read_text() for path in SOURCES}) == []
+    doc = bnspecht.SparsePolynomial._of_clean.__doc__
+    assert [name for name in UNCHECKED_BUILDERS if f"{name}`" not in doc] == []
+
+
+def test_unchecked_construction_scan_finds_an_added_call():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    line = sources["varieties.py"].count("\n") + 3
+    sources["varieties.py"] += "\n\nZERO = SparsePolynomial._of_clean(1, {})\n"
+    inner = sources["polynomials.py"].count("\n") + 4
+    sources["polynomials.py"] += "\n\ndef _one(n):\n    return SparsePolynomial._of_clean(n, {})\n"
+    assert unchecked_constructions(sources) == [f"polynomials.py:{inner}", f"varieties.py:{line}"]
+
+
 CAPS = [f.name for f in fields(ResourceLimits)]
 
 

@@ -181,7 +181,8 @@ def test_string_form_examples():
     assert str(p) == "x1^2 - x2^2"
     assert str(SparsePolynomial.zero(2)) == "0"
     assert str(SparsePolynomial(2, {(1, 1): Fraction(-3)})) == "-3*x1*x2"
-    assert str(SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})) == "x2 + x1^-1"  # not "x2 + x1"
+    with pytest.raises(ValueError, match=r"negative exponent in x1\^-1"):
+        SparsePolynomial(2, {(-1, 0): 1, (0, 1): 1})
 
 
 def test_parser_errors_carry_positions():
@@ -249,6 +250,33 @@ def test_variable_rejects_a_non_integer_power():
     for power in (1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match=f"non-integer exponent {power}"):
             SparsePolynomial.variable(2, 1, power)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(1.5, 0): 1}, "^non-integer exponent 1.5$"),
+        ({(-1, 0): 1}, r"^negative exponent in x1\^-1$"),
+        ({(2.0, 0): 1}, "^non-integer exponent 2.0$"),
+        ({(0, "2"): 1}, "^non-integer exponent 2$"),
+        ({(None, 0): 1}, "^non-integer exponent None$"),
+        ({(1, 0, 0): 0}, r"^exponent tuple \(1, 0, 0\) does not match n=2$"),
+        ({(0, 1): 1, (1, -2): 0}, r"^negative exponent in x1\*x2\^-2$"),
+    ],
+)
+def test_construction_checks_every_key(terms, message):
+    """Every key is checked, whatever its coefficient: a zero one is no exemption."""
+    with pytest.raises(ValueError, match=message):
+        SparsePolynomial(2, terms)
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [((1.5,), "^non-integer exponent 1.5$"), ((-1,), r"^negative exponent in x1\^-1$")],
+)
+def test_a_monomial_checks_its_exponents(exps, message):
+    with pytest.raises(ValueError, match=message):
+        Monomial(exps)
 
 
 def test_leading_data_and_monic():
@@ -348,6 +376,12 @@ def test_an_index_object_reads_as_its_integer():
     assert vandermonde(3, [one, 2]) == parse_polynomial("x1 - x2", 3)
     assert _column_expansion(3, [(one, 2)], 1, [one]) == parse_polynomial("x1^2 - x1*x2", 3)
     assert parse_polynomial("x1 + 1", 1) ** two == parse_polynomial("x1^2 + 2*x1 + 1", 1)
+    built = SparsePolynomial(3, {(two, 0, one): 1})
+    assert built == parse_polynomial("x1^2*x3", 3)
+    assert [type(e) for exps in built.terms for e in exps] == [int] * 3
+    assert Monomial((two, one)).exps == (2, 1)
+    # two keys that read as one exponent tuple add up
+    assert SparsePolynomial(1, {(one,): 1, (1,): 2}) == parse_polynomial("3*x1", 1)
 
 
 def test_power_rejects_a_non_integer_exponent():

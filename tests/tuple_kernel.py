@@ -199,7 +199,7 @@ def packed_normal_forms(polys, basis, order: str):
     divisors = groebner._pack_divisors(basis, codec)
     for p in polys:
         remainder = groebner._normal_form(codec.pack_terms(p.terms), divisors, codec, DEFAULT_LIMITS)
-        yield SparsePolynomial(p.n, codec.unpack_terms(remainder.items()))
+        yield codec.unpack_polynomial(remainder.items())
 
 
 def packed_normal_form(p: SparsePolynomial, basis, order: str) -> SparsePolynomial:
@@ -212,4 +212,5 @@ def packed_s_polynomial(f: SparsePolynomial, g: SparsePolynomial, order: str) ->
     codec = _codec([f, g], order)
     lcm = tuple(map(max, f.leading_exponents(order), g.leading_exponents(order)))
     pf, pg = groebner._pack_divisors([f, g], codec)
-    return codec.unpack_terms(groebner._s_polynomial(pf, pg, codec.pack(lcm)).items())
+    terms = groebner._s_polynomial(pf, pg, codec.pack(lcm))
+    return {codec.unpack(u): c for u, c in terms.items()}
