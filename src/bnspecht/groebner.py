@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import chain, islice
 from math import comb, factorial, inf, prod
 from operator import gt, itemgetter
 
@@ -47,6 +48,7 @@ from .polynomials import (
     SparsePolynomial,
     _antisymmetrize,
     _column_expansion,
+    _column_product,
     _exact_quotient,
     _field_width,
     _integer,
@@ -54,6 +56,8 @@ from .polynomials import (
     _monomial_codec,
     _normalize,
     _parse_order,
+    _scatter,
+    _staircase,
     vandermonde_squares,
 )
 from .tableaux import (
@@ -157,7 +161,16 @@ def _pack_divisors(polys, codec) -> list[tuple]:
 
 
 def _monic_divisor(terms: dict, sign: int) -> tuple:
-    inverse = _exact_quotient(1, terms[min(terms)])
+    """The divisor of terms over its leading coefficient, every coefficient normalised.
+
+    Terms already monic with int coefficients are taken as they are; any
+    other scaling normalises each coefficient, so the integral Fractions that
+    `_normal_form` can leave come out as ints.
+    """
+    lead = terms[min(terms)]
+    if lead == 1 and set(map(type, terms.values())) == {int}:
+        return _divisor(terms, sign)
+    inverse = _exact_quotient(1, lead)
     scaled = {}
     for u, c in terms.items():
         c *= inverse
@@ -449,6 +462,12 @@ def specht_ideal_contains(
     which reduces h_f to zero iff h_f lies in J. It is neither completed nor
     reduced. The caps are checked as `specht_generators(a)` and then
     `specht_polynomial_bn` on b's reference check them.
+
+    A generator y^(e_i & ~e_f) h_i is a column product in slot order whose
+    odd entries, the second tableau's entries outside e_f (those up to
+    |b.left|), are offsets of their slots. Generators with the same odd
+    slots are one product relabelled, so `_column_product` builds it once
+    per pattern and `_scatter` places it on each assignment's entries.
     """
     _check_size(n, a, b)
     _parse_order(order)  # an unknown order fails even where the degrees decide
@@ -464,13 +483,19 @@ def specht_ideal_contains(
     d_y = (d - b.right.size) // 2
     spare = d_y - (d_a - a.right.size) // 2  # the odd count a generator can add
     first_size = b.left.size  # e_f, the reference's second tableau, is first_size + 1..n
-    gens = []
+    kept = []  # (odd slots, slot map) of each generator, in assignment order
     for chosen in assignments:
-        odd = [e for col in chosen[split:] for e in col if e <= first_size]
-        if len(odd) <= spare:
-            gens.append(_column_expansion(n, chosen, 1, odd))
-    if not gens:
+        odd = tuple([e <= first_size for col in chosen[split:] for e in col])
+        if sum(odd) <= spare:
+            kept.append((odd, list(chain.from_iterable(chosen))))
+    if not kept:
         return False
+    products = {}
+    for odd in {odd for odd, _ in kept}:
+        offsets = iter((0,) * sum(heights[:split]) + odd)
+        columns_y = [(_staircase(h, 1), tuple(islice(offsets, h))) for h in heights]
+        products[odd] = _column_product(columns_y)
+    gens = [_scatter(n, *products[odd], [slots])[0] for odd, slots in kept]
     h_f = _column_expansion(n, columns, 1)
 
     def contains(codec):

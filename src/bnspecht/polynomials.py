@@ -222,8 +222,8 @@ class SparsePolynomial:
         callers build keys from valid keys, so none is checked: `__add__`,
         `__mul__`, `scale` and `_MonomialCodec.unpack_polynomial` after
         `_clean`, `__neg__`, `_scatter` (for `_column_expansion`,
-        `specht_generators` and `_antisymmetrize`) and `act`. Every other
-        construction goes through `__init__`.
+        `specht_generators`, `specht_ideal_contains` and `_antisymmetrize`)
+        and `act`. Every other construction goes through `__init__`.
         """
         p = object.__new__(SparsePolynomial)
         p.n, p.terms, p._hash = n, terms, None
@@ -493,22 +493,37 @@ def _gather(index):
     return lambda e: tuple([e[k] for k in index])
 
 
-def _scatter(n: int, exps, coeffs, slots) -> SparsePolynomial:
-    """The polynomial sum c * x^e over distinct slot-order terms, such as `_column_product`'s.
+def _scatter(n: int, exps, coeffs, slot_maps) -> list[SparsePolynomial]:
+    """For each slot map, the polynomial sum c * x^e over distinct slot-order terms.
 
-    slots[k] is the 1-based variable that slot k fills. A variable that no
+    The terms are such as `_column_product`'s, and slots[k], for slots in
+    slot_maps, is the 1-based variable that slot k fills. A variable that no
     slot names reads the slot named 0, which must hold exponent 0 in every
-    term. One gather per term, mapped over exps, puts the slots in variable
-    order; every slot but the zero one is read, so distinct terms stay
+    term. A lone map moves the slots by one gather per term, mapped over
+    exps; several maps share one transposition of the terms into slot
+    columns, and each polynomial's exponents are one zip of the columns in
+    variable order. A map already in variable order takes the terms as they
+    are. Every slot but the zero one is read, so distinct terms stay
     distinct, and with clean coefficients (nonzero ints or non-integral
-    Fractions) the dict is clean by construction (see `_of_clean`).
+    Fractions) each dict is clean by construction (see `_of_clean`).
     """
-    if slots == list(range(1, n + 1)):  # the slots are in variable order already
-        return SparsePolynomial._of_clean(n, dict(zip(exps, coeffs)))
-    position = {v: k for k, v in enumerate(slots)}
-    zero = position.get(0)
-    gather = _gather([position.get(i, zero) for i in range(1, n + 1)])
-    return SparsePolynomial._of_clean(n, dict(zip(map(gather, exps), coeffs)))
+    in_order = list(range(1, n + 1))
+    columns = list(zip(*exps)) if len(slot_maps) > 1 else None
+    out = []
+    for slots in slot_maps:
+        if slots == in_order:
+            terms = dict(zip(exps, coeffs))
+        else:
+            # each variable's slot; a variable that no slot names reads the zero slot
+            position = [slots.index(0) if 0 in slots else None] * (n + 1)
+            for k, v in enumerate(slots):
+                position[v] = k
+            if columns is None:
+                terms = dict(zip(map(_gather(position[1:]), exps), coeffs))
+            else:
+                terms = dict(zip(zip(*[columns[k] for k in position[1:]]), coeffs))
+        out.append(SparsePolynomial._of_clean(n, terms))
+    return out
 
 
 def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
@@ -543,7 +558,7 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
         slots.append(0)
         head.append(0)
     columns = [(_staircase(len(c), step), tuple([extra.get(i, 0) for i in c])) for c in columns]
-    return _scatter(n, *_column_product(columns, head), slots + flat)
+    return _scatter(n, *_column_product(columns, head), [slots + flat])[0]
 
 
 def _integer(value, what: str) -> int:
@@ -685,7 +700,7 @@ def _antisymmetrize(p: SparsePolynomial, blocks) -> SparsePolynomial:
         terms, signs = _column_product([(lam, (0,) * len(lam)) for lam in powers], head)
         exps += terms
         coeffs += signs if coeff == 1 else [coeff * sign for sign in signs]
-    return _scatter(p.n, exps, coeffs, outside + [i for block in blocks for i in block])
+    return _scatter(p.n, exps, coeffs, [outside + [i for block in blocks for i in block]])[0]
 
 
 def act_point(g: SignedPermutation, z) -> tuple[Coefficient, ...]:

@@ -208,7 +208,10 @@ def _column_assignments(
     column's first, and no combination is discarded. There are
     n! / (prod h! * prod r!) assignments, h over the column heights and r over
     the lengths of the runs of equal-height columns in each tableau; that count
-    is checked against `limits.max_enumeration` before any is made.
+    is checked against `limits.max_enumeration` before any is made. The
+    heights sum to n, so the last column is the remaining entries, taken
+    only if they follow its equal-height predecessor. The assignments come
+    in lexicographic order of their concatenated columns.
 
     admits(k, col), when given, prunes every assignment whose k-th column is
     col, and the search stops at the first survivor: the list holds at most
@@ -218,19 +221,22 @@ def _column_assignments(
     runs = [len(list(r)) for hs in sides for _, r in itertools.groupby(hs)]
     count = factorial(n) // (prod(map(factorial, heights)) * prod(map(factorial, runs)))
     limits.check("max_enumeration", count)
-    last = len(heights)
+    if not heights:
+        return [[]]
+    last = len(heights) - 1
+    follows = [k not in (0, split) and heights[k - 1] == heights[k] for k in range(last + 1)]
     out = []
 
     def assign(k: int, remaining: tuple[int, ...], chosen: list[tuple[int, ...]]):
         if k == last:
-            out.append(chosen)
+            if not (follows[k] and remaining[0] < chosen[-1][0]):
+                if admits is None or admits(k, remaining):
+                    out.append(chosen + [remaining])
             return
-        pool = remaining
-        if k not in (0, split) and heights[k - 1] == heights[k]:
-            pool = remaining[bisect(remaining, chosen[-1][0]) :]
+        pool = remaining[bisect(remaining, chosen[-1][0]) :] if follows[k] else remaining
         for col in itertools.combinations(pool, heights[k]):
             if admits is None or admits(k, col):
-                assign(k + 1, tuple(e for e in remaining if e not in col), chosen + [col])
+                assign(k + 1, tuple([e for e in remaining if e not in col]), chosen + [col])
                 if admits is not None and out:
                     return
 
@@ -250,10 +256,10 @@ def specht_generators(
     Output follows the sorted (first, second) column sets.
     Every generator is the same column product with other variables in its
     slots, so `_column_product` builds it once in slot order (the columns in
-    height order, the second tableau's odd), and each assignment scatters it
-    onto its column entries. Ascending columns put every polynomial's
-    lex-leading term at the identity of the column group, with coefficient
-    +1, so each comes out sign-normalized.
+    height order, the second tableau's odd), and one `_scatter` places it
+    onto every assignment's column entries. Ascending columns put every
+    polynomial's lex-leading term at the identity of the column group, with
+    coefficient +1, so each comes out sign-normalized.
     """
     _check_size(n, shape)
     heights, split = _column_heights(shape)
@@ -264,8 +270,8 @@ def specht_generators(
     )
     columns = [(_staircase(h, 2), (0,) * h) for h in heights[:split]]
     columns += [(_staircase(h, 2), (1,) * h) for h in heights[split:]]
-    exps, signs = _column_product(columns)
-    return [_scatter(n, exps, signs, [e for col in chosen for e in col]) for _, chosen in keys]
+    slot_maps = [list(itertools.chain.from_iterable(chosen)) for _, chosen in keys]
+    return _scatter(n, *_column_product(columns), slot_maps)
 
 
 def _nonvanishing_assignment(

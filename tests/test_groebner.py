@@ -52,7 +52,9 @@ from bnspecht.polynomials import (
 from bnspecht.tableaux import (
     Bitableau,
     Tableau,
+    _column_assignments,
     _column_heights,
+    _reference_columns,
     _specht_degree,
     reference_bitableau,
     specht_generators,
@@ -642,6 +644,63 @@ def test_specht_paths_build_no_partition_or_tableau(monkeypatch):
         built.clear()
         radical_report(shape, 3)
         assert built == own, str(shape)
+
+
+def reference_y_generators(a, b, n):
+    """(odd-slot pattern, generator) for each Q[y] generator of a that b's inclusion keeps.
+
+    The loop `specht_ideal_contains` replaced: one `_column_expansion` per
+    assignment, its odd variables the second tableau's entries that lie
+    outside e_f, kept when their count fits under the degree of b's reference.
+    """
+    heights, split = _column_heights(a)
+    d, d_a = _specht_degree(*_column_heights(b)), _specht_degree(heights, split)
+    if d_a > d:
+        return []
+    spare = (d - b.right.size) // 2 - (d_a - a.right.size) // 2
+    out = []
+    for chosen in _column_assignments(heights, split, n, DEFAULT_LIMITS):
+        pattern = tuple(e <= b.left.size for col in chosen[split:] for e in col)
+        if sum(pattern) <= spare:
+            odd = [e for col in chosen[split:] for e in col if e <= b.left.size]
+            out.append((pattern, polynomials._column_expansion(n, chosen, 1, odd)))
+    return out
+
+
+def test_inclusion_builds_one_product_per_odd_slot_pattern(monkeypatch):
+    """Over the 400 n = 4 degrevlex pairs: a's Q[y] generators, relabelled from few products.
+
+    Each distinct odd-slot pattern among the kept generators costs one
+    `_column_product`; the generators are those of the reference loop, in its
+    order, and `_column_expansion` builds only b's reference polynomial.
+    """
+    products, expanded, grown = [], [], []
+
+    def wrap(name, record):
+        original = getattr(groebner, name)
+
+        def wrapper(*args):
+            record(args)
+            return original(*args)
+
+        monkeypatch.setattr(groebner, name, wrapper)
+
+    wrap("_column_product", products.append)
+    wrap("_column_expansion", lambda args: expanded.append(args[1]))
+    wrap("_grown_basis", lambda args: grown.append(list(args[0])))
+    shapes = enumerate_bipartitions(4)
+    for a, b in [(a, b) for a in shapes for b in shapes]:
+        for log in (products, expanded, grown):
+            log.clear()
+        verdict = specht_ideal_contains(a, b, 4, "degrevlex")
+        assert verdict == bidominates(a, b), (a, b)
+        reference = reference_y_generators(a, b, 4)
+        if reference:
+            assert expanded == [_reference_columns(_column_heights(b)[0])], (a, b)
+            assert grown[0] == [g for _, g in reference], (a, b)
+        else:
+            assert expanded == grown == [], (a, b)
+        assert len(products) == len({pattern for pattern, _ in reference}), (a, b)
 
 
 def test_pair_work_stays_pinned(monkeypatch):

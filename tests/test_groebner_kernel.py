@@ -150,3 +150,19 @@ def test_exponents_past_the_first_width_stay_exact(monkeypatch):
     gens = [parse_polynomial("x1^70000*x2 - x3", 3), parse_polynomial("x2^2 - x1", 3)]
     for tag in ("lex", "degrevlex", "deglex-rev"):
         assert buchberger(gens, tag) == reference_buchberger(gens, tag)
+
+
+def test_monic_divisors_come_out_normalised():
+    """A monic int remainder is taken as it is; any other is scaled and each coefficient normalised.
+
+    `_normal_form` can leave an integral Fraction in a remainder, also under
+    a leading 1, and the divisor must hold it as an int.
+    """
+    monic = {5: 1, 7: -3, 9: 2}
+    assert groebner._monic_divisor(monic, 1) == (5, 5, 1, ((7, -3), (9, 2)))
+    for terms in ({5: 1, 7: Fraction(4, 2)}, {5: Fraction(3), 7: 6}, {5: 2, 7: 4}):
+        lead_x, lead, coeff, tail = groebner._monic_divisor(terms, -1)
+        assert (lead_x, lead, coeff) == (-5, 5, 1)
+        assert tail == ((7, 2),) and type(tail[0][1]) is int, terms
+    _, _, coeff, tail = groebner._monic_divisor({5: 2, 7: 3}, 1)
+    assert (coeff, tail) == (1, ((7, Fraction(3, 2)),))

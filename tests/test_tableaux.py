@@ -2,13 +2,16 @@
 
 import hashlib
 import itertools
+from bisect import bisect
+from collections import Counter
 from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnspecht.errors import ResourceLimitExceeded, ResourceLimits
+from bnspecht import polynomials, tableaux
+from bnspecht.errors import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits
 from bnspecht.partitions import (
     Partition,
     _conjugate_parts,
@@ -21,7 +24,9 @@ from bnspecht.polynomials import SparsePolynomial, parse_polynomial
 from bnspecht.tableaux import (
     Bitableau,
     Tableau,
+    _column_assignments,
     _column_heights,
+    _nonvanishing_assignment,
     _reference_columns,
     _specht_degree,
     all_bitableaux,
@@ -37,6 +42,7 @@ from bnspecht.tableaux import (
     specht_polynomial_sn,
     split_bitableau,
 )
+from bnspecht.varieties import _nonempty_classes, orbit_representative
 
 shapes = st.integers(1, 5).flatmap(
     lambda n: st.sampled_from(enumerate_bipartitions(n)).map(lambda s: (s, n))
@@ -206,6 +212,118 @@ def test_specht_degree_is_the_reference_polynomials_degree():
         for shape in enumerate_bipartitions(n):
             degree = specht_polynomial_bn(reference_bitableau(shape, n)).degree
             assert _specht_degree(*_column_heights(shape)) == degree, str(shape)
+
+
+def reference_column_assignments(heights, split, n, admits=None):
+    """The search `_column_assignments` replaced, without its count check.
+
+    Each column, the last included, tries the combinations of the remaining
+    entries, and equal-height columns of one tableau come in increasing order
+    of their first entries.
+    """
+    last = len(heights)
+    out = []
+
+    def assign(k, remaining, chosen):
+        if k == last:
+            out.append(chosen)
+            return
+        pool = remaining
+        if k not in (0, split) and heights[k - 1] == heights[k]:
+            pool = remaining[bisect(remaining, chosen[-1][0]) :]
+        for col in itertools.combinations(pool, heights[k]):
+            if admits is None or admits(k, col):
+                assign(k + 1, tuple(e for e in remaining if e not in col), chosen + [col])
+                if admits is not None and out:
+                    return
+
+    assign(0, tuple(range(1, n + 1)), [])
+    return out
+
+
+def test_column_assignments_match_the_reference_enumerator():
+    """Every shape with n <= 8: the same assignments in the same order."""
+    for n in range(9):
+        for shape in enumerate_bipartitions(n):
+            heights, split = _column_heights(shape)
+            want = reference_column_assignments(heights, split, n)
+            assert _column_assignments(heights, split, n, DEFAULT_LIMITS) == want, str(shape)
+
+
+def representative_pairs(largest):
+    """(heights, split, z) for every shape and nonempty-class representative of size <= largest."""
+    for n in range(largest + 1):
+        points = [orbit_representative(c) for c in _nonempty_classes(n)]
+        for shape in enumerate_bipartitions(n):
+            heights, split = _column_heights(shape)
+            for z in points:
+                yield heights, split, z
+
+
+def test_vanishing_search_keeps_the_reference_verdicts(monkeypatch):
+    """The vanishing search's own admits: the survivor or None at every representative, n <= 6."""
+    searches = []
+    original = tableaux._column_assignments
+
+    def both(heights, split, n, limits, admits=None):
+        got = original(heights, split, n, limits, admits)
+        searches.append((got, reference_column_assignments(heights, split, n, admits)))
+        return got
+
+    monkeypatch.setattr(tableaux, "_column_assignments", both)
+    for heights, split, z in representative_pairs(6):
+        searches.clear()
+        found = _nonvanishing_assignment(heights, split, z)
+        got = [survivors for survivors, _ in searches]
+        assert got == [[found] if found is not None else []], (heights, split, z)
+        assert [want for _, want in searches] == got, (heights, split, z)
+
+
+def test_vanishing_search_keeps_its_pruning(monkeypatch):
+    """admits is asked as often as the reference search asks it, over every pair with n <= 5.
+
+    The last column is the remaining entries, and it is put to admits exactly
+    when the reference loop put it: unless it must follow an equal-height
+    column with a larger first entry. A search that put only complete
+    assignments to admits, column by column, would ask 10,634 times.
+    """
+    calls = 0
+    original = tableaux._column_assignments
+
+    def counted(heights, split, n, limits, admits=None):
+        def asked(k, col):
+            nonlocal calls
+            calls += 1
+            return admits(k, col)
+
+        return original(heights, split, n, limits, asked)
+
+    monkeypatch.setattr(tableaux, "_column_assignments", counted)
+    for heights, split, z in representative_pairs(5):
+        _nonvanishing_assignment(heights, split, z)
+    assert calls == 9694
+
+
+def test_each_shape_builds_one_column_product(monkeypatch):
+    """`specht_generators` builds one column product per shape and expands no column list."""
+    built = Counter()
+    for module, name in (
+        (tableaux, "_column_product"),
+        (polynomials, "_column_product"),
+        (tableaux, "_column_expansion"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, name=name):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for n in range(7):
+        for shape in enumerate_bipartitions(n):
+            built.clear()
+            specht_generators(shape, n)
+            assert built == Counter({"_column_product": 1}), str(shape)
 
 
 def test_all_bitableaux_count():
