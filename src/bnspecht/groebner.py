@@ -35,7 +35,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import comb, factorial, inf, prod
-from operator import gt, itemgetter
+from operator import itemgetter
 
 from .errors import DEFAULT_LIMITS, AmbientMismatchError, ResourceLimits
 from .partitions import (
@@ -58,7 +58,6 @@ from .polynomials import (
     _parse_order,
     _scatter,
     _staircase,
-    vandermonde_squares,
 )
 from .tableaux import (
     _column_assignments,
@@ -546,6 +545,22 @@ def covering_certificate(
     case 4 moves them one row down, the receiving column gaining a box
     (ambient a+2b+1, first block of size b+1 and an extra square factor).
     case, a and b are read as integers: a float, even 2.0, raises ValueError.
+
+    The identity sums the signed images of the coset term
+    base = V^2(A + j) V^2(B1) F over the shuffles of A and B1 into their
+    union U. Here j is the first variable of B2 (absent if B2 is empty), and
+    F = prod_{i in A} prod_{j' in B2, j' != j} (x_i^2 - x_j'^2), times
+    prod_{i in A} x_i^2 in case 4. base is never expanded. By the alternant
+    decomposition (Macdonald, Symmetric Functions, I.3), V^2(A + j) = Alt_A(D)
+    for D the sum of its terms decreasing on A: the h = |A| + |{j}| terms in
+    which j takes power 2(h-1-k), with sign (-1)^(h-1-k), and A the other
+    powers in decreasing order. Likewise V^2(B1) = Alt_B1(x^(2 delta)) for
+    its staircase term. F is symmetric in A and free of B1, so
+    base = Alt_G(q) for G = S_A x S_B1 and the core q = D x^(2 delta) F.
+    Every permutation of U is one shuffle after one element of G, so the
+    shuffle sum is Alt_U(base) / |G| = Alt_U(Alt_G(q)) / |G| = Alt_U(q):
+    one antisymmetrization of q. Each product that builds q pairs at most
+    h * 2^(|A| (|B2| - 1)) terms, the count capped before any is built.
     """
     case, a, b = _integer(case, "case"), _integer(a, "a"), _integer(b, "b")
     if case not in (3, 4):
@@ -561,58 +576,31 @@ def covering_certificate(
     union = set_a + set_b1
     limits.check("max_cosets", comb(len(union), a))
     limits.check("max_terms", factorial(len(union)))  # the target V^2(union) has |union|! terms
+    h = a + len(set_b2[:1])
+    limits.check("max_terms", h * 2 ** (a * max(len(set_b2) - 1, 0)))
 
-    # The coset term of image_a is V^2(image_a) V^2(rest) prod_{i in image_a} R(x_i^2) [x_i^2],
-    # with R(y) = prod_{j in B2} (y - x_j^2). It is the image of the A term under
-    # union -> image_a + rest, which fixes B2 and so R: build the A term once; the sum of
-    # its signed images is `_shuffle_sum`'s.
-    # With j placed last, V^2(A + (j,)) = V^2(A) prod_{i in A} (x_i^2 - x_j^2), so the first
-    # B2 variable joins A's column, and case 4's x_i^2 factors are offsets of A's entries:
-    # one column expansion. Only the other B2 binomials are multiplied in, each product
-    # capped before it is formed: the A term can outgrow the target.
-    base = _column_expansion(n, (set_a + set_b2[:1], set_b1), 2, set_a * 2 if extra else ())
+    # D x^(2 delta) [prod_{i in A} x_i^2], the variables in the order A, B1, j, the rest of B2
+    steps = _staircase(h, 2)
+    lift = 2 * extra
+    tail = _staircase(len(set_b1), 2)
+    if set_b2:  # j takes steps[k] and A the other powers
+        rest = (0,) * (len(set_b2) - 1)
+        core = {}
+        for k in range(h):
+            head = tuple([p + lift for p in steps[:k] + steps[k + 1 :]])
+            core[head + tail + (steps[k],) + rest] = (-1) ** (h - 1 - k)
+    else:
+        core = {tuple([p + lift for p in steps]) + tail: 1}
+    q = SparsePolynomial(n, core)
     for i in set_a:
         for j in set_b2[1:]:
-            factor = SparsePolynomial.variable(n, i, 2) - SparsePolynomial.variable(n, j, 2)
-            limits.check("max_terms", len(base.terms) * len(factor.terms))
-            base = base * factor
-    target = vandermonde_squares(n, union)
-    symmetrized = _shuffle_sum(base, (set_a, set_b1))
+            q = q * (SparsePolynomial.variable(n, i, 2) - SparsePolynomial.variable(n, j, 2))
+    target = _column_expansion(n, (union,), 2)
+    symmetrized = _antisymmetrize(q, [union])
 
     return CoveringCertificate(
         case, a, b, set_a, set_b1, set_b2, target, symmetrized, symmetrized == target
     )
-
-
-def _shuffle_sum(base: SparsePolynomial, parts) -> SparsePolynomial:
-    """sum of sgn(sigma) * sigma(base) over the shuffles sigma of parts, base alternating in each.
-
-    A shuffle sends the concatenated parts onto their union U, each part onto
-    a subset in increasing order, and fixes every other variable. Every
-    permutation of U is one shuffle after one tau in G = prod_k S_{part k}, and
-    base alternating in each part means sgn(tau) * tau(base) = base, so
-    Alt_U(base) = |G| times the shuffle sum. In `covering_certificate`, base is
-    alternating in A through its V^2(A + first entry of B2) column, since the
-    case-4 x_i^2 offsets and the binomials prod (x_i^2 - x_j^2) are symmetric
-    in A, and alternating in B1 through its V^2(B1) column.
-
-    The terms of an alternating base come in G-orbits of |G| terms, each
-    orbit holding one term strictly decreasing on every part, and a term with
-    a repeated exponent in a part has coefficient 0. Alt_U sends each term of
-    an orbit to sgn(tau) times Alt_U of its decreasing term, so Alt_U(base) is
-    |G| times Alt_U of the decreasing terms: the shuffle sum is the
-    antisymmetrization of only those. With one nonempty part the only shuffle
-    is the identity, and the sum is base itself.
-    """
-    parts = [part for part in parts if part]
-    if len(parts) < 2:
-        return base
-    terms = base.terms
-    for part in parts:
-        if len(part) > 1:
-            read = itemgetter(*[i - 1 for i in part])
-            terms = {e: c for e, c in terms.items() if all(map(gt, read(e), read(e)[1:]))}
-    return _antisymmetrize(SparsePolynomial(base.n, terms), [sum(parts, ())])
 
 
 # covering steps are witnessed by Groebner reduction up to this n

@@ -20,6 +20,8 @@ from .polynomials import (
     SparsePolynomial,
     _antisymmetrize,
     _column_expansion,
+    _integer,
+    _term_subset,
     act,
 )
 from .tableaux import num_standard_bitableaux
@@ -188,7 +190,7 @@ def verify_symmetrization(
     profile = monomial_profile(m)
     bases = profile.i1 + profile.i2
     sizes = profile.k + profile.r
-    index_sets = [tuple(sorted(s)) for s in index_sets]
+    index_sets = [tuple(sorted([_integer(i, "variable index") for i in s])) for s in index_sets]
     if len(index_sets) != len(bases):
         raise ValueError(f"expected {len(bases)} index sets, got {len(index_sets)}")
     flat = [i for s in index_sets for i in s]
@@ -205,8 +207,7 @@ def verify_symmetrization(
     # averaging P with its sign flip in x_i keeps the terms whose x_i exponent
     # is even (i in i1), or odd when the flip is subtracted (i in i2)
     parities = [(i - 1, 0) for i in profile.i1] + [(i - 1, 1) for i in profile.i2]
-    kept = {e: c for e, c in P.terms.items() if all(e[i] % 2 == parity for i, parity in parities)}
-    cleaned = SparsePolynomial(n, kept)
+    cleaned = _term_subset(P, lambda e: all(e[i] % 2 == parity for i, parity in parities))
 
     odd_fresh = [i for s in index_sets[profile.ell :] for i in s]
     base_poly = cleaned * _column_expansion(n, index_sets, 2, odd_fresh)

@@ -222,8 +222,10 @@ class SparsePolynomial:
         callers build keys from valid keys, so none is checked: `__add__`,
         `__mul__`, `scale` and `_MonomialCodec.unpack_polynomial` after
         `_clean`, `__neg__`, `_scatter` (for `_column_expansion`,
-        `specht_generators`, `specht_ideal_contains` and `_antisymmetrize`)
-        and `act`. Every other construction goes through `__init__`.
+        `specht_generators`, `specht_ideal_contains` and `_antisymmetrize`),
+        `act` and `_term_subset` (for `top_component` and the parity filter of
+        `invariants.verify_symmetrization`). Every other construction goes
+        through `__init__`.
         """
         p = object.__new__(SparsePolynomial)
         p.n, p.terms, p._hash = n, terms, None
@@ -366,7 +368,7 @@ class SparsePolynomial:
     def top_component(self) -> "SparsePolynomial":
         """The homogeneous component of highest total degree."""
         d = self.degree
-        return SparsePolynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _term_subset(self, lambda e: sum(e) == d)
 
     def coefficient(self, exps: Exponents) -> Coefficient:
         return self.terms.get(tuple(exps), 0)
@@ -540,15 +542,14 @@ def _column_expansion(n: int, columns, step: int, odd=()) -> SparsePolynomial:
     column is an offset of its slot; the others, the entries of columns of
     height 1 (each a factor 1) and a zero slot for any variable in neither
     lead every term.
+
+    Every index must be an int in 1..n, and no column index may repeat: the
+    callers build their columns from valid indices, or check them with
+    `_checked_columns`, so none is checked here.
     """
-    columns = [tuple([_check_index(n, i) for i in col]) for col in columns]
-    flat = [i for col in columns for i in col]
-    in_columns = set(flat)
-    if len(in_columns) != len(flat):
-        raise ValueError(f"repeated index in Vandermonde columns {columns}")
+    in_columns = {i for col in columns for i in col}
     extra = {}  # odd variable -> its multiplicity
     for k in odd:
-        k = _check_index(n, k)
         extra[k] = extra.get(k, 0) + 1
     slots = [k for k in extra if k not in in_columns] + [c[0] for c in columns if len(c) == 1]
     head = [extra.get(k, 0) for k in slots]
@@ -575,14 +576,23 @@ def _check_index(n: int, i: int) -> int:
     return i
 
 
+def _checked_columns(n: int, columns) -> list[tuple[int, ...]]:
+    """columns with each index read by `_check_index`; a repeated index raises ValueError."""
+    columns = [tuple([_check_index(n, i) for i in col]) for col in columns]
+    flat = [i for col in columns for i in col]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"repeated index in Vandermonde columns {columns}")
+    return columns
+
+
 def vandermonde(n: int, indices) -> SparsePolynomial:
     """Product of pairwise differences over an index sequence; 1 if < 2 indices."""
-    return _column_expansion(n, (tuple(indices),), 1)
+    return _column_expansion(n, _checked_columns(n, (indices,)), 1)
 
 
 def vandermonde_squares(n: int, indices) -> SparsePolynomial:
     """Vandermonde in the squared variables."""
-    return _column_expansion(n, (tuple(indices),), 2)
+    return _column_expansion(n, _checked_columns(n, (indices,)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +670,11 @@ def act(g: SignedPermutation, p: SparsePolynomial) -> SparsePolynomial:
                     sign = -sign
         terms[tuple(new)] = sign * coeff  # a relabelling: distinct terms stay distinct
     return SparsePolynomial._of_clean(p.n, terms)
+
+
+def _term_subset(p: SparsePolynomial, keep) -> SparsePolynomial:
+    """The terms of p whose exponents satisfy keep: a subset of clean terms is clean."""
+    return SparsePolynomial._of_clean(p.n, {e: c for e, c in p.terms.items() if keep(e)})
 
 
 def _antisymmetrize(p: SparsePolynomial, blocks) -> SparsePolynomial:

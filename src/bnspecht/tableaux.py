@@ -11,7 +11,14 @@ from math import comb, factorial, prod
 
 from .errors import DEFAULT_LIMITS, ResourceLimits
 from .partitions import Bipartition, Partition, _check_size, _conjugate_parts, glue
-from .polynomials import SparsePolynomial, _column_expansion, _column_product, _scatter, _staircase
+from .polynomials import (
+    SparsePolynomial,
+    _checked_columns,
+    _column_expansion,
+    _column_product,
+    _scatter,
+    _staircase,
+)
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ def specht_polynomial_sn(t: Tableau, n: int | None = None) -> SparsePolynomial:
     """Product of the column Vandermonde polynomials."""
     if n is None:
         n = max(t.entries, default=1)
-    return _column_expansion(n, t.columns(), 1)
+    return _column_expansion(n, _checked_columns(n, t.columns()), 1)
 
 
 def specht_polynomial_bn(
@@ -137,7 +144,9 @@ def specht_polynomial_bn(
 ) -> SparsePolynomial:
     """Columnwise Vandermondes in the squares, times the second component's variables."""
     first = bt.first.columns()
-    return _specht_polynomial(bt.n, first + bt.second.columns(), len(first), limits)
+    # an entry such as 2.0 passes the Bitableau check, which compares by equality
+    columns = _checked_columns(bt.n, first + bt.second.columns())
+    return _specht_polynomial(bt.n, columns, len(first), limits)
 
 
 def _specht_polynomial(

@@ -37,13 +37,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import gt, itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnspecht.cli import EXIT_RESOURCE, _json_text, run
+from bnspecht.cli import EXIT_OK, EXIT_RESOURCE, _json_text, run
 from bnspecht.errors import (
     AmbientMismatchError,
     ParseError,
@@ -55,7 +56,6 @@ from bnspecht import cli, groebner, partitions, polynomials, varieties
 from bnspecht.groebner import (
     CoveringCertificate,
     GroebnerBasis,
-    _shuffle_sum,
     covering_certificate,
     ideal_contains,
     inclusion_by_certificates,
@@ -176,8 +176,34 @@ def images_alternating_sum(p, domain, images):
     return SparsePolynomial(p.n, terms)
 
 
+def shuffle_sum(base, parts):
+    """sum of sgn(sigma) * sigma(base) over the shuffles sigma of parts, base alternating in each.
+
+    The route `covering_certificate` took before it built only its sorted
+    core, kept as the filter reference. A shuffle sends the concatenated
+    parts onto their union U, each part onto a subset in increasing order,
+    and fixes every other variable. Every permutation of U is one shuffle
+    after one tau in G = prod_k S_{part k}, and base alternating in each part
+    means sgn(tau) * tau(base) = base, so Alt_U(base) = |G| times the shuffle
+    sum. The terms of an alternating base come in G-orbits of |G| terms, each
+    orbit holding one term strictly decreasing on every part, and a term with
+    a repeated exponent in a part has coefficient 0. So the shuffle sum is
+    the antisymmetrization of only the decreasing terms. With one nonempty
+    part the only shuffle is the identity, and the sum is base itself.
+    """
+    parts = [part for part in parts if part]
+    if len(parts) < 2:
+        return base
+    terms = base.terms
+    for part in parts:
+        if len(part) > 1:
+            read = itemgetter(*[i - 1 for i in part])
+            terms = {e: c for e, c in terms.items() if all(map(gt, read(e), read(e)[1:]))}
+    return _antisymmetrize(SparsePolynomial(base.n, terms), [sum(parts, ())])
+
+
 def images_shuffle_sum(base, parts):
-    """The covering certificate's coset sum, image by image: the reference for `_shuffle_sum`.
+    """The covering certificate's coset sum, image by image: the reference for `shuffle_sum`.
 
     One image per choice of set_a's positions in the union, set_a and set_b1
     each keeping its order.
@@ -695,24 +721,48 @@ def test_certificate_target_is_capped_before_building():
 
 
 def test_certificate_products_are_capped_before_building():
-    for case, a, b in ((3, 1, 7), (4, 1, 6)):  # targets of 8! terms pass the up-front cap
+    """The products that build a certificate's core pair at most h * 2^(|A| (|B2| - 1)) terms,
+    h = |A| + 1, capped before any is formed. Under the default cap the target's |U|! binds first:
+    (3,1,7) and (4,1,6), whose targets of 8! terms pass it, verify. (3,4,6)'s 10! target passes a
+    cap of 10!, and its products' 5 * 2^20 pairs do not."""
+    for case, a, b in ((3, 1, 7), (4, 1, 6)):
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitExceeded, match="term count 322560"):
-            covering_certificate(case, a, b)
+        assert covering_certificate(case, a, b).verified
         assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded, match="term count 5242880 exceeds cap 3628800"):
+        covering_certificate(3, 4, 6, ResourceLimits(max_terms=3628800))
+    assert time.perf_counter() - start < 1
+
+
+class CoreCaptured(Exception):
+    pass
+
+
+def captured_core(case, a, b, monkeypatch):
+    """The core q that `covering_certificate` antisymmetrizes, and the blocks it passes."""
+    captured = []
+
+    def antisymmetrize(q, blocks):
+        captured.append((q, blocks))
+        raise CoreCaptured
+
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "_antisymmetrize", antisymmetrize)
+        with pytest.raises(CoreCaptured):
+            covering_certificate(case, a, b)
+    [(q, blocks)] = captured
+    return q, blocks
 
 
 @pytest.mark.parametrize("case,a,b,peak", [(3, 2, 5, 92400), (3, 3, 4, 76896)])
 def test_certificates_under_the_product_cap_verify(case, a, b, peak, monkeypatch):
-    sizes = []
-
-    def shuffle_sum(base, parts):
-        sizes.append(len(base.terms))  # the last and largest product
-        return _shuffle_sum(base, parts)
-
-    monkeypatch.setattr(groebner, "_shuffle_sum", shuffle_sum)
+    """The two certificates whose coset terms, of peak terms, the filter route expanded in full
+    (about 0.4 s each) verify from cores of 567 and 1312 terms."""
+    q, [union] = captured_core(case, a, b, monkeypatch)
+    assert len(q.terms) == {92400: 567, 76896: 1312}[peak]
+    assert len(_antisymmetrize(q, [union[:a], union[a:]]).terms) == peak
     assert covering_certificate(case, a, b).verified
-    assert sizes == [peak]
 
 
 def product_coset_term(case, a, b):
@@ -739,55 +789,73 @@ BENCH_COVER_CASES = sorted(
 )
 
 
-class CosetTermCaptured(Exception):
-    pass
-
-
 @pytest.mark.parametrize(
     "case,a,b", BENCH_COVER_CASES + [(3, 8, 0), (4, 7, 0)] + [(3, 2, 5), (3, 3, 4)]
 )
 def test_coset_term_matches_the_product_route(case, a, b, monkeypatch):
-    """The polynomial the certificate symmetrizes, against the binomial products it replaces,
-    and its shuffle sum against one relabelled copy per coset: every certificate of ambient
-    n <= 8, and the two at the product cap's peaks. At the peaks the copies take seconds, so
-    their sums are checked against the target (`test_certificates_under_the_product_cap_verify`).
+    """The core the certificate antisymmetrizes, against the binomial products it replaces:
+    every certificate of ambient n <= 8, and the two whose coset terms peak at 92400 and 76896
+    terms. Antisymmetrized over S_A x S_B1 it is the coset term (the lemma alone); over their
+    union, the filter route's shuffle sum and, for n <= 8, one relabelled copy per coset.
     """
-    captured = []
-
-    def shuffle_sum(base, parts):
-        captured.append((base, parts))
-        raise CosetTermCaptured
-
-    monkeypatch.setattr(groebner, "_shuffle_sum", shuffle_sum)
-    with pytest.raises(CosetTermCaptured):
-        covering_certificate(case, a, b)
-    [(base, parts)] = captured
-    assert base == product_coset_term(case, a, b)
+    q, [union] = captured_core(case, a, b, monkeypatch)
+    parts = (union[:a], union[a:])  # A = 1..a, then B1
+    base = product_coset_term(case, a, b)
+    assert _antisymmetrize(q, parts) == base
+    symmetrized = _antisymmetrize(q, [union])
+    assert symmetrized == shuffle_sum(base, parts)
     if base.n <= 8:
-        assert _shuffle_sum(base, parts) == images_shuffle_sum(base, parts)
+        assert symmetrized == images_shuffle_sum(base, parts)
+
+
+def flipped_sign_rule(q, j, h):
+    """q with its core term in which x_j has power 2(h-1-k) signed (-1)^k, not (-1)^(h-1-k).
+
+    The binomials leave x_j alone, so x_j's power in a term of q is its core term's.
+    """
+    terms = {}
+    for exps, coeff in q.terms.items():
+        k = h - 1 - exps[j - 1] // 2
+        terms[exps] = coeff * (-1) ** k * (-1) ** (h - 1 - k)
+    return SparsePolynomial(q.n, terms)
+
+
+@pytest.mark.parametrize("case,a,b", [c for c in BENCH_COVER_CASES if c[1] % 2 and c[2]])
+def test_a_flipped_sign_rule_fails_both_identities(case, a, b, monkeypatch):
+    """The sign rule (-1)^k differs from (-1)^(h-1-k) by (-1)^(h-1), so on every cover with
+    B2 nonempty and h = a + 1 even the mutant core fails the lemma and the shuffle sum."""
+    q, [union] = captured_core(case, a, b, monkeypatch)
+    mutant = flipped_sign_rule(q, len(union) + 1, a + 1)
+    base = product_coset_term(case, a, b)
+    parts = (union[:a], union[a:])
+    assert _antisymmetrize(mutant, parts) != base
+    assert _antisymmetrize(mutant, [union]) != shuffle_sum(base, parts)
 
 
 def test_shuffle_sum_needs_a_base_alternating_in_each_part():
     """With two nonempty parts the shuffle sum reads only the terms decreasing on each part,
     exact only for a base alternating in both; with one, the sum is the base, alternating or not."""
     p = parse_polynomial("x1^2*x2", 3)
-    assert _shuffle_sum(p, ((1, 2), (3,))) != images_shuffle_sum(p, ((1, 2), (3,)))
-    assert _shuffle_sum(p, ((1, 2), (3,))) == vandermonde(3, (1, 2, 3))
-    assert _shuffle_sum(p, ((1, 2), ())) == images_shuffle_sum(p, ((1, 2), ())) == p
+    assert shuffle_sum(p, ((1, 2), (3,))) != images_shuffle_sum(p, ((1, 2), (3,)))
+    assert shuffle_sum(p, ((1, 2), (3,))) == vandermonde(3, (1, 2, 3))
+    assert shuffle_sum(p, ((1, 2), ())) == images_shuffle_sum(p, ((1, 2), ())) == p
     alternating = parse_polynomial("x1^2*x2 - x1*x2^2", 3)
-    assert _shuffle_sum(alternating, ((1, 2), (3,))) == images_shuffle_sum(
+    assert shuffle_sum(alternating, ((1, 2), (3,))) == images_shuffle_sum(
         alternating, ((1, 2), (3,))
     )
 
 
 def test_cli_certify_cover_caps_the_products(capsys):
+    argv = ["certify-cover", "--case", "3", "--a", "4", "--b", "6", "--max-terms", "3628800"]
     start = time.perf_counter()
-    assert run(["certify-cover", "--case", "3", "--a", "1", "--b", "7"]) == EXIT_RESOURCE
-    assert time.perf_counter() - start < 2
+    assert run(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1
     assert json.loads(capsys.readouterr().out) == {
         "status": "resource-exceeded",
-        "error": "term count 322560 exceeds cap 200000",
+        "error": "term count 5242880 exceeds cap 3628800",
     }
+    assert run(["certify-cover", "--case", "3", "--a", "1", "--b", "7"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["payload"]["verified"] is True
 
 
 def test_cli_certify_cover_caps_the_target(capsys):

@@ -748,10 +748,10 @@ def test_products_and_kernel_outputs_skip_the_exponent_check(monkeypatch):
     Arithmetic and the Groebner kernel build from valid keys through
     `SparsePolynomial._of_clean`, so `polynomials._exponents` runs once per
     exponent tuple that a recipe hands to `__init__` itself. Covering
-    certificate (3, 3, 2) hands on 26: its binomials x_i^2 - x_7^2 for i in
-    A = (1, 2, 3) are two one-term `variable` calls each, and `_shuffle_sum`
-    keeps the 20 terms of the A term that decrease on A and on B1. The
-    products, the alternating sum and the target check none, nor do the
+    certificate (3, 3, 2) hands on 10: its binomials x_i^2 - x_7^2 for i in
+    A = (1, 2, 3) are two one-term `variable` calls each, and its core holds
+    the h = 4 terms of V^2(A + (6,)) that decrease on A. The products, the
+    alternating sum and the target check none, nor do the
     n = 4 Specht bases, the orbit of x2*x3*(x1^2 - 1), its basis and the
     reductions against it.
     """
@@ -767,7 +767,7 @@ def test_products_and_kernel_outputs_skip_the_exponent_check(monkeypatch):
     outside = p("x1^3*x2 + x4", 4)
     monkeypatch.setattr(polynomials, "_exponents", counted)
     assert covering_certificate(3, 3, 2).verified
-    assert callers == {"variable": 6, "_shuffle_sum": 20}
+    assert callers == {"variable": 6, "covering_certificate": 4}
     callers.clear()
     for shape in enumerate_bipartitions(4):
         specht_ideal_basis(shape, 4, "lex")

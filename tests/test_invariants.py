@@ -220,6 +220,25 @@ def test_symmetrization_validation():
         verify_symmetrization(P, m, [(), (4,), ()])  # sizes mismatch the profile
 
 
+class Index:
+    """An integer only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_symmetrization_reads_its_index_sets_as_integers():
+    P = parse_polynomial("x1^2*x2*x3", 4)
+    m = Monomial((2, 1, 1, 0))
+    with pytest.raises(ValueError, match="non-integer variable index 4.0"):
+        verify_symmetrization(P, m, [(4.0,), (), ()])
+    mixed = parse_polynomial("x1^4 + x1^3", 5)
+    assert verify_symmetrization(mixed, Monomial((4, 0, 0, 0, 0)), [(Index(3), Index(2))])
+
+
 def test_symmetrization_resource_guard():
     quartic = parse_polynomial("x1^4", 5)
     with pytest.raises(ResourceLimitExceeded):

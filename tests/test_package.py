@@ -200,7 +200,8 @@ def test_fraction_scan_finds_an_added_construction():
 
 # the callers that `SparsePolynomial._of_clean`'s docstring names: each builds keys from valid keys
 UNCHECKED_BUILDERS = (
-    "__add__", "__neg__", "__mul__", "scale", "unpack_polynomial", "_scatter", "act"
+    "__add__", "__neg__", "__mul__", "scale", "unpack_polynomial", "_scatter", "act",
+    "_term_subset",
 )
 
 

@@ -28,6 +28,7 @@ from bnspecht.polynomials import (
     vandermonde,
     vandermonde_squares,
 )
+from bnspecht.tableaux import Bitableau, Tableau, specht_polynomial_bn, specht_polynomial_sn
 from bnspecht.varieties import as_point, bn_orbit_type
 from tuple_kernel import leading, monic, reference_order_key
 
@@ -374,7 +375,7 @@ def test_an_index_object_reads_as_its_integer():
     assert SparsePolynomial.variable(3, two, two) == parse_polynomial("x2^2", 3)
     assert SignedPermutation.sign_flip(3, two) == SignedPermutation((1, 2, 3), (1, -1, 1))
     assert vandermonde(3, [one, 2]) == parse_polynomial("x1 - x2", 3)
-    assert _column_expansion(3, [(one, 2)], 1, [one]) == parse_polynomial("x1^2 - x1*x2", 3)
+    assert specht_polynomial_sn(Tableau(((one,), (2,))), 3) == parse_polynomial("x1 - x2", 3)
     assert parse_polynomial("x1 + 1", 1) ** two == parse_polynomial("x1^2 + 2*x1 + 1", 1)
     built = SparsePolynomial(3, {(two, 0, one): 1})
     assert built == parse_polynomial("x1^2*x3", 3)
@@ -391,6 +392,26 @@ def test_power_rejects_a_non_integer_exponent():
             p ** k
     with pytest.raises(ValueError, match="negative exponent -1"):
         p ** -1
+
+
+def test_public_expansions_check_their_own_indices():
+    """`_column_expansion` trusts its callers, so each public entry checks its indices first."""
+    with pytest.raises(AmbientMismatchError, match=r"variable x4 outside ambient 1\.\.3"):
+        vandermonde(3, (1, 4))
+    with pytest.raises(AmbientMismatchError, match=r"variable x0 outside ambient 1\.\.3"):
+        vandermonde_squares(3, (0, 1))
+    with pytest.raises(ValueError, match=r"repeated index in Vandermonde columns \[\(2, 2\)\]"):
+        vandermonde_squares(3, (2, 2))
+    with pytest.raises(AmbientMismatchError, match=r"variable x3 outside ambient 1\.\.2"):
+        specht_polynomial_sn(Tableau(((1, 3),)), 2)
+    with pytest.raises(ValueError, match="non-integer variable index 1.5"):
+        specht_polynomial_sn(Tableau(((1.5, 2),)), 2)
+    with pytest.raises(ValueError, match="non-integer variable index 2.0"):
+        specht_polynomial_sn(Tableau(((1,), (2.0,))), 2)
+    # a bitableau's entries partition 1..n, and 2.0 == 2 passes that check
+    for rows in (((1, 2.0),), ((1,), (2.0,))):
+        with pytest.raises(ValueError, match="non-integer variable index 2.0"):
+            specht_polynomial_bn(Bitableau(Tableau(rows), Tableau(()), 2))
 
 
 def test_sign_flip_action():
